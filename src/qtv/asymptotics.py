@@ -290,11 +290,13 @@ def _unpack_enclosure(packed: tuple[int, int, int, int]) -> Enclosure:
 def _scan_one(args: tuple[str, str, str, int]) -> tuple:
     """Worker entry: run one point and flatten the record to integers.
 
-    Fraction pickles through its decimal string, and exact-path
-    enclosure endpoints can run to tens of thousands of digits, past
-    the interpreter's int-to-string guard.  Bare integers pickle in
-    binary, so the record crosses the process boundary as
-    numerator/denominator tuples and is reassembled bit-identical.
+    The pack/unpack exists for Python 3.10, where Fraction pickles
+    through its decimal string and exact-path endpoints of tens of
+    thousands of digits trip the int-to-string digit limit.  Bare
+    integers pickle in binary, so the record crosses the process
+    boundary as numerator/denominator tuples and is reassembled
+    bit-identical.  From 3.11 Fraction pickles as its two integers, so
+    this can go once requires-python is >= 3.11.
     """
     x_text, width_text, evaluator, d_cut = args
     budget = PrecisionBudget(Fraction(width_text))

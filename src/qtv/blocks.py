@@ -36,6 +36,7 @@ envelope, so the envelopes can be checked empirically.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -427,3 +428,40 @@ def residual_report(name: str, x: RationalScalar, d: int | None = None,
     b = PrecisionBudget(budget.target_width / 4)
     actual, main, bound = builder(f, d, k, b)
     return ResidualReport(name, f, d, k, actual, main, actual - main, bound)
+
+
+# Pass thresholds for the residual checks: roughly twice the worst ratio
+# seen on dev panels (x = 1e4 and 1e6, d <= 50), so a genuine shape
+# change in any envelope trips them while honest noise does not.
+RESIDUAL_CAPS = {
+    "cut_point": Fraction(4),
+    "cut_window_k1": Fraction(1),
+    "cut_window_k3": Fraction(3),
+    "between_cuts_k4": Fraction(5),
+    "tail_series": Fraction(1, 4),
+    "summand_main": Fraction(1),
+    "window_sum_center": Fraction(1, 2),
+    "window_sum_upper": Fraction(3),
+    "window_sum_lower": Fraction(1, 2),
+    "q0_mean": Fraction(1),
+}
+
+
+def residual_cases(name: str, x: Fraction, ds: Iterable[int],
+                   t: Fraction | None = None
+                   ) -> list[tuple[int | None, int | None, Fraction]]:
+    """The (d, k, argument) triples residual `name` is checked at near x.
+
+    Gap residuals run at x for each d in ds that they are defined for
+    (d = 0 only for cut_point and between_cuts_k4), with k the cut point
+    for summand_main; classes with 2(d+1) > x are outside the block
+    formulas and skipped.  q0_mean runs once at x.  tail_series does not
+    depend on x: it runs once at t, or not at all when t is None.
+    """
+    if name == "tail_series":
+        return [] if t is None else [(None, None, t)]
+    if name == "q0_mean":
+        return [(None, None, x)]
+    low = 0 if name in ("cut_point", "between_cuts_k4") else 1
+    return [(d, cut_point(x, d) if name == "summand_main" else None, x)
+            for d in ds if d >= low and 2 * (d + 1) <= x]

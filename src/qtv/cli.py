@@ -16,6 +16,14 @@ JSON objects carry "schema": 1; CSV uses a header row and LF line
 endings.  Exit codes: 0 success, 1 verification failure, 2 usage or
 parse error, 3 precision budget exhausted, 4 runtime cap hit.
 
+There is one output path.  Each cmd_* computes its result and returns
+(exit code, rendered text); main is the only writer, to --output PATH
+or to sys.stdout as it is at write time, so a caller that redirects
+stdout captures the output.  Only warnings go to stderr directly.  The
+table commands (decompose, coeffs, scan) build their rows once, as
+rounded strings and ints, and _table renders them as CSV or as JSON
+records; every JSON payload goes through _json.
+
 The only numbers exempt from the endpoint rule are wall-clock seconds
 and the regression outputs of fit, which are measurements, not
 enclosures; they are printed as plain decimals.
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -33,7 +42,8 @@ from fractions import Fraction
 from .asymptotics import (EVALUATORS, FitError, ScanRecord, decompose,
                           decomposed_eval, error_term, fast_estimate,
                           fit_exponent, geometric_grid, scan)
-from .blocks import RESIDUAL_NAMES, cut_point, q0_blocks, qd_blocks, residual_report
+from .blocks import (RESIDUAL_CAPS, RESIDUAL_NAMES, q0_blocks, qd_blocks,
+                     residual_cases, residual_report)
 from .coefficients import (DEFAULT_COEFFS, coeff_sum_limit, gap_coeff,
                            gap_coeff_sum, limit_estimate, main_constant,
                            zeta_3_2)
@@ -51,42 +61,20 @@ EXIT_CAP = 4
 
 DIGITS = 15
 
-# Pass thresholds for the residual checks in `verify`: roughly twice
-# the worst ratio seen on dev panels (x = 1e4 and 1e6, d <= 50), so a
-# genuine shape change in any envelope trips them while honest noise
-# does not.
-RESIDUAL_CAPS = {
-    "cut_point": Fraction(4),
-    "cut_window_k1": Fraction(1),
-    "cut_window_k3": Fraction(3),
-    "between_cuts_k4": Fraction(5),
-    "tail_series": Fraction(1, 4),
-    "summand_main": Fraction(1),
-    "window_sum_center": Fraction(1, 2),
-    "window_sum_upper": Fraction(3),
-    "window_sum_lower": Fraction(1, 2),
-    "q0_mean": Fraction(1),
-}
+# Smallest class cut each non-oracle evaluator accepts.
+MIN_D_CUT = {"decomposed": 2, "fast": 1}
 
 
 class UsageError(ValueError):
     """Bad argument values discovered after argparse."""
 
 
-def _down(value: Fraction, digits: int = DIGITS) -> str:
-    return format_rational(value, digits, "down")
+def _up(value: Fraction) -> str:
+    return format_rational(value, DIGITS, "up")
 
 
-def _up(value: Fraction, digits: int = DIGITS) -> str:
-    return format_rational(value, digits, "up")
-
-
-def _near(value: Fraction, digits: int = DIGITS) -> str:
-    return format_rational(value, digits, "nearest")
-
-
-def _enc_pair(enc: Enclosure, digits: int = DIGITS) -> tuple[str, str]:
-    return _down(enc.lo, digits), _up(enc.hi, digits)
+def _enc_pair(enc: Enclosure) -> tuple[str, str]:
+    return format_rational(enc.lo, DIGITS, "down"), _up(enc.hi)
 
 
 def _frac_str(value: Fraction) -> str:
@@ -115,30 +103,53 @@ def _budget(args: argparse.Namespace) -> PrecisionBudget:
     return PrecisionBudget(width)
 
 
-def _open_output(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _check_d_max(evaluator: str, d_max: int | None) -> None:
+    low = MIN_D_CUT.get(evaluator)
+    if low is not None and d_max is not None and d_max < low:
+        raise UsageError(f"--d-max must be >= {low} for the {evaluator} "
+                         f"evaluator")
 
 
-def _emit_json(payload: dict, stream) -> None:
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _table(columns: list[str], rows: list[list], fmt: str) -> str | list[dict]:
+    """Rows as CSV text (header plus LF rows), or as JSON records."""
+    if fmt == "json":
+        return [dict(zip(columns, row)) for row in rows]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _pair_table(width: int, first: str, second: str,
+                rows: list[list]) -> list[str]:
+    """Text lines for rows of (d, first lo, first hi, second lo, second hi)."""
+    lines = [f"{'d':>{width}} {first:^44} {second:^44}"]
+    for row in rows:
+        lines.append(f"{row[0]:>{width}} [{row[1]:>20}, {row[2]:>20}] "
+                     f"[{row[3]:>20}, {row[4]:>20}]")
+    return lines
 
 
 # ---------------------------------------------------------------- eval
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> tuple[int, str]:
     x = _parse_x(args.x)
     budget = _budget(args)
+    _check_d_max(args.evaluator, args.d_max)
     started = time.perf_counter()
     rigorous = args.evaluator != "fast"
     extra: dict[str, str] = {}
     if args.evaluator == "oracle":
         value = q_eval(x, budget).value
     elif args.evaluator == "decomposed":
-        value = decomposed_eval(x, args.d_max or 50, budget).value
+        d_cut = 50 if args.d_max is None else args.d_max
+        value = decomposed_eval(x, d_cut, budget).value
     else:
         est = fast_estimate(x, args.d_max, budget)
         value = est.value
@@ -147,100 +158,68 @@ def cmd_eval(args: argparse.Namespace) -> int:
     seconds = time.perf_counter() - started
     lo, hi = _enc_pair(value)
 
-    stream, close = _open_output(args.output)
-    try:
-        if args.format == "json":
-            payload = {
-                "schema": 1,
-                "x": _frac_str(x),
-                "q_lo": lo,
-                "q_hi": hi,
-                "width": _up(value.width),
-                "evaluator": args.evaluator,
-                "rigorous": rigorous,
-                "seconds": round(seconds, 3),
-            }
-            payload.update(extra)
-            _emit_json(payload, stream)
-        else:
-            stream.write(f"Q({_frac_str(x)}) in [{lo}, {hi}]\n")
-            stream.write(f"width <= {_up(value.width)}\n")
-            tag = "rigorous" if rigorous else "heuristic, rigorous: false"
-            stream.write(f"evaluator {args.evaluator} ({tag})\n")
-            for key, val in extra.items():
-                stream.write(f"{key} {val}\n")
-            stream.write(f"seconds {seconds:.3f}\n")
-    finally:
-        if close:
-            stream.close()
-    return EXIT_OK
+    if args.format == "json":
+        payload = {
+            "schema": 1,
+            "x": _frac_str(x),
+            "q_lo": lo,
+            "q_hi": hi,
+            "width": _up(value.width),
+            "evaluator": args.evaluator,
+            "rigorous": rigorous,
+            "seconds": round(seconds, 3),
+        }
+        payload.update(extra)
+        return EXIT_OK, _json(payload)
+    tag = "rigorous" if rigorous else "heuristic, rigorous: false"
+    lines = [f"Q({_frac_str(x)}) in [{lo}, {hi}]",
+             f"width <= {_up(value.width)}",
+             f"evaluator {args.evaluator} ({tag})"]
+    lines += [f"{key} {val}" for key, val in extra.items()]
+    lines.append(f"seconds {seconds:.3f}")
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------- decompose
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+DECOMPOSE_COLUMNS = ["d", "qd_lo", "qd_hi", "cum_lo", "cum_hi", "tail_bound"]
+
+
+def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
     x = _parse_x(args.x)
     if args.d_max < 0:
         raise UsageError("--d-max must be >= 0")
     budget = _budget(args)
     report = decompose(x, max(2, args.d_max), budget)
 
-    rows: list[tuple[str, Enclosure, Enclosure, str]] = []
     cum = report.base
-    rows.append(("0", report.base, cum, ""))
+    rows = [["0", *_enc_pair(report.base), *_enc_pair(cum), ""]]
     for d in range(1, args.d_max + 1):
         enc = report.classes[d - 1]
         cum = cum + enc
-        bound = sqrt_enclosure(x / (d - 1), budget).hi if d >= 2 else None
-        rows.append((str(d), enc, cum, _up(bound) if bound is not None else ""))
+        bound = _up(sqrt_enclosure(x / (d - 1), budget).hi) if d >= 2 else ""
+        rows.append([str(d), *_enc_pair(enc), *_enc_pair(cum), bound])
     rest = report.discarded
     for enc in report.classes[args.d_max:]:
         rest = rest + enc
     cum = cum + rest
-    rows.append(("rest", rest, cum, _up(rest.hi)))
+    rows.append(["rest", *_enc_pair(rest), *_enc_pair(cum), _up(rest.hi)])
 
-    stream, close = _open_output(args.output)
-    try:
-        if args.format == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(["d", "qd_lo", "qd_hi", "cum_lo", "cum_hi",
-                             "tail_bound"])
-            for label, enc, cum_enc, bound in rows:
-                qlo, qhi = _enc_pair(enc)
-                clo, chi = _enc_pair(cum_enc)
-                writer.writerow([label, qlo, qhi, clo, chi, bound])
-        elif args.format == "json":
-            payload = {
-                "schema": 1,
-                "x": _frac_str(x),
-                "d_max": args.d_max,
-                "rows": [
-                    {"d": label, "qd_lo": _enc_pair(enc)[0],
-                     "qd_hi": _enc_pair(enc)[1],
-                     "cum_lo": _enc_pair(cum_enc)[0],
-                     "cum_hi": _enc_pair(cum_enc)[1],
-                     "tail_bound": bound}
-                    for label, enc, cum_enc, bound in rows
-                ],
-                "op_count": report.op_count,
-            }
-            _emit_json(payload, stream)
-        else:
-            stream.write(f"Q({_frac_str(x)}) by gap class, cut at "
-                         f"d = {args.d_max}\n")
-            head = f"{'d':>6} {'class total':^44} {'cumulative':^44}"
-            stream.write(head + "\n")
-            for label, enc, cum_enc, _bound in rows:
-                qlo, qhi = _enc_pair(enc)
-                clo, chi = _enc_pair(cum_enc)
-                stream.write(f"{label:>6} [{qlo:>20}, {qhi:>20}] "
-                             f"[{clo:>20}, {chi:>20}]\n")
-            stream.write(f"block operations: {report.op_count}\n")
-    finally:
-        if close:
-            stream.close()
-    return EXIT_OK
+    if args.format == "csv":
+        return EXIT_OK, _table(DECOMPOSE_COLUMNS, rows, "csv")
+    if args.format == "json":
+        return EXIT_OK, _json({
+            "schema": 1,
+            "x": _frac_str(x),
+            "d_max": args.d_max,
+            "rows": _table(DECOMPOSE_COLUMNS, rows, "json"),
+            "op_count": report.op_count,
+        })
+    lines = [f"Q({_frac_str(x)}) by gap class, cut at d = {args.d_max}",
+             *_pair_table(6, "class total", "cumulative", rows),
+             f"block operations: {report.op_count}"]
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
 # -------------------------------------------------------------- verify
@@ -252,7 +231,8 @@ def _check(name: str, params: dict, lhs: Fraction | None,
     return {
         "name": name,
         "params": params,
-        "lhs": _near(lhs) if lhs is not None else None,
+        "lhs": (format_rational(lhs, DIGITS, "nearest")
+                if lhs is not None else None),
         "rhs_lo": lo,
         "rhs_hi": hi,
         "pass": passed,
@@ -273,7 +253,7 @@ def _mutated_coeffs(spec_text: str | None) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     budget = _budget(args)
     x_texts = args.x if args.x is not None else ["1000", "10000"]
     xs = [(_parse_x(text), text) for text in x_texts]
@@ -321,21 +301,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # Residual envelopes: ratio against the fitted caps.
     tight = PrecisionBudget(Fraction(1, 10**12))
     for x, x_text in xs:
+        t = Fraction(10) if x == xs[0][0] else None
         for name in RESIDUAL_NAMES:
             cap = RESIDUAL_CAPS[name]
-            if name == "tail_series":
-                cases = [(None, None, Fraction(10))] if x == xs[0][0] else []
-            elif name == "q0_mean":
-                cases = [(None, None, x)]
-            elif name in ("cut_point", "between_cuts_k4"):
-                cases = [(d, None, x) for d in (0, 1, 5, 20)]
-            elif name == "summand_main":
-                cases = [(d, cut_point(x, d), x) for d in (1, 5, 20)]
-            else:
-                cases = [(d, None, x) for d in (1, 5, 20)]
-            for d, k, arg in cases:
-                if d is not None and 2 * (d + 1) > arg:
-                    continue
+            for d, k, arg in residual_cases(name, x, (0, 1, 5, 20), t):
                 rep = residual_report(name, arg, d, k, tight)
                 ratio = rep.ratio_hi
                 params = {"x": x_text, "d": d, "k": k}
@@ -346,28 +315,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                      ratio <= cap))
 
     failed = sum(1 for c in checks if not c["pass"])
-    payload = {
+    text = _json({
         "schema": 1,
         "checks": checks,
         "passed": len(checks) - failed,
         "failed": failed,
-    }
-    stream, close = _open_output(args.output)
-    try:
-        _emit_json(payload, stream)
-    finally:
-        if close:
-            stream.close()
+    })
     if not checks:
         print("warning: no checks selected", file=sys.stderr)
-        return EXIT_OK
-    return EXIT_OK if failed == 0 else EXIT_FAIL
+    return (EXIT_OK if failed == 0 else EXIT_FAIL), text
 
 
 # -------------------------------------------------------------- coeffs
 
 
-def cmd_coeffs(args: argparse.Namespace) -> int:
+COEFFS_COLUMNS = ["d", "coeff_lo", "coeff_hi", "partial_lo", "partial_hi"]
+
+
+def cmd_coeffs(args: argparse.Namespace) -> tuple[int, str]:
     if args.limit < 0:
         raise UsageError("limit must be >= 0")
     budget = _budget(args)
@@ -377,104 +342,62 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     for d in range(1, args.limit + 1):
         enc = gap_coeff(d, per)
         partial = partial + enc
-        rows.append((d, enc, partial))
+        rows.append([d, *_enc_pair(enc), *_enc_pair(partial)])
 
-    stream, close = _open_output(args.output)
-    try:
-        if args.format == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(["d", "coeff_lo", "coeff_hi",
-                             "partial_lo", "partial_hi"])
-            for d, enc, part in rows:
-                clo, chi = _enc_pair(enc)
-                plo, phi = _enc_pair(part)
-                writer.writerow([d, clo, chi, plo, phi])
-        else:
-            summary = None
-            if args.limit >= 1:
-                closed = gap_coeff_sum(args.limit, budget.split(2))
-                lim = coeff_sum_limit(budget.split(2))
-                gap_enc = closed - lim
-                summary = (closed, lim, gap_enc)
-            if args.format == "json":
-                payload = {
-                    "schema": 1,
-                    "limit": args.limit,
-                    "rows": [
-                        {"d": d, "coeff_lo": _enc_pair(enc)[0],
-                         "coeff_hi": _enc_pair(enc)[1],
-                         "partial_lo": _enc_pair(part)[0],
-                         "partial_hi": _enc_pair(part)[1]}
-                        for d, enc, part in rows
-                    ],
-                }
-                if summary:
-                    closed, lim, gap_enc = summary
-                    payload["closed_form_lo"], payload["closed_form_hi"] = \
-                        _enc_pair(closed)
-                    payload["limit_lo"], payload["limit_hi"] = _enc_pair(lim)
-                    payload["limit_gap_lo"], payload["limit_gap_hi"] = \
-                        _enc_pair(gap_enc)
-                _emit_json(payload, stream)
-            else:
-                stream.write(f"{'d':>5} {'amplitude':^44} "
-                             f"{'partial sum':^44}\n")
-                for d, enc, part in rows:
-                    clo, chi = _enc_pair(enc)
-                    plo, phi = _enc_pair(part)
-                    stream.write(f"{d:>5} [{clo:>20}, {chi:>20}] "
-                                 f"[{plo:>20}, {phi:>20}]\n")
-                if summary:
-                    closed, lim, gap_enc = summary
-                    clo, chi = _enc_pair(closed)
-                    llo, lhi = _enc_pair(lim)
-                    glo, ghi = _enc_pair(gap_enc)
-                    stream.write(f"closed form  [{clo}, {chi}]\n")
-                    stream.write(f"series limit [{llo}, {lhi}]\n")
-                    stream.write(f"limit gap    [{glo}, {ghi}]\n")
-    finally:
-        if close:
-            stream.close()
-    return EXIT_OK
+    if args.format == "csv":
+        return EXIT_OK, _table(COEFFS_COLUMNS, rows, "csv")
+    # (JSON key, text label, enclosure) for the closed form and the limit
+    summary = []
+    if args.limit >= 1:
+        closed = gap_coeff_sum(args.limit, budget.split(2))
+        lim = coeff_sum_limit(budget.split(2))
+        summary = [("closed_form", "closed form", closed),
+                   ("limit", "series limit", lim),
+                   ("limit_gap", "limit gap", closed - lim)]
+    if args.format == "json":
+        payload = {"schema": 1, "limit": args.limit,
+                   "rows": _table(COEFFS_COLUMNS, rows, "json")}
+        for key, _label, enc in summary:
+            payload[f"{key}_lo"], payload[f"{key}_hi"] = _enc_pair(enc)
+        return EXIT_OK, _json(payload)
+    lines = _pair_table(5, "amplitude", "partial sum", rows)
+    for _key, label, enc in summary:
+        lo, hi = _enc_pair(enc)
+        lines.append(f"{label:<12} [{lo}, {hi}]")
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------- constants
 
 
-def cmd_constants(args: argparse.Namespace) -> int:
+def cmd_constants(args: argparse.Namespace) -> tuple[int, str]:
+    cut = args.cross_check_cut
+    if cut < 4:
+        raise UsageError("--cross-check-cut must be >= 4")
     budget = _budget(args)
     zeta = zeta_3_2(budget)
     constant = main_constant(budget)
     tight = PrecisionBudget(min(budget.target_width, Fraction(1, 10**11)))
-    cut = args.cross_check_cut
     est = limit_estimate(cut, tight)
     lim = coeff_sum_limit(tight)
     gap_value = (est - lim).abs().hi
 
     zl, zh = _enc_pair(zeta)
     cl, ch = _enc_pair(constant)
-    payload = {
-        "schema": 1,
-        "zeta_3_2_lo": zl,
-        "zeta_3_2_hi": zh,
-        "main_constant_lo": cl,
-        "main_constant_hi": ch,
-        "cross_check_cut": cut,
-        "cross_check_gap": _up(gap_value),
-    }
-    stream, close = _open_output(args.output)
-    try:
-        if args.format == "json":
-            _emit_json(payload, stream)
-        else:
-            stream.write(f"zeta(3/2)      in [{zl}, {zh}]\n")
-            stream.write(f"zeta(3/2)/pi   in [{cl}, {ch}]\n")
-            stream.write(f"extrapolation cross-check at cut {cut}: "
-                         f"gap <= {_up(gap_value)}\n")
-    finally:
-        if close:
-            stream.close()
-    return EXIT_OK
+    if args.format == "json":
+        return EXIT_OK, _json({
+            "schema": 1,
+            "zeta_3_2_lo": zl,
+            "zeta_3_2_hi": zh,
+            "main_constant_lo": cl,
+            "main_constant_hi": ch,
+            "cross_check_cut": cut,
+            "cross_check_gap": _up(gap_value),
+        })
+    return EXIT_OK, (f"zeta(3/2)      in [{zl}, {zh}]\n"
+                     f"zeta(3/2)/pi   in [{cl}, {ch}]\n"
+                     f"extrapolation cross-check at cut {cut}: "
+                     f"gap <= {_up(gap_value)}\n")
 
 
 # ---------------------------------------------------------------- scan
@@ -493,15 +416,20 @@ def _record_row(record: ScanRecord) -> list[str]:
             f"{record.seconds:.3f}"]
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
     budget = _budget(args)
     lo = _parse_x(args.grid_min)
     hi = _parse_x(args.grid_max)
     ratio = parse_rational(args.grid_ratio)
     if lo < 2 or lo.denominator != 1 or hi.denominator != 1:
         raise UsageError("grid endpoints must be integers >= 2")
+    if hi < lo:
+        raise UsageError("--grid-max must be >= --grid-min")
     if ratio <= 1:
         raise UsageError("--grid-ratio must be > 1")
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
+    _check_d_max(args.evaluator, args.d_max)
     grid = [Fraction(g) for g in
             geometric_grid(int(lo), int(hi), ratio)]
     result = scan(grid, budget, args.evaluator, args.d_max,
@@ -511,48 +439,37 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print(f"warning: point {index} (x = {_frac_str(x)}) failed: "
               f"{message}", file=sys.stderr)
 
-    stream, close = _open_output(args.output)
-    try:
-        if args.format == "json":
-            payload = {
-                "schema": 1,
-                "evaluator": args.evaluator,
-                "capped": result.capped,
-                "records": [dict(zip(SCAN_COLUMNS, _record_row(r)))
-                            for r in result.records],
-                "failures": [{"index": i, "x": _frac_str(x), "message": m}
-                             for i, x, m in result.failures],
-            }
-            _emit_json(payload, stream)
-        else:
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(SCAN_COLUMNS)
-            for record in result.records:
-                writer.writerow(_record_row(record))
-    finally:
-        if close:
-            stream.close()
+    rows = [_record_row(record) for record in result.records]
+    if args.format == "json":
+        text = _json({
+            "schema": 1,
+            "evaluator": args.evaluator,
+            "capped": result.capped,
+            "records": _table(SCAN_COLUMNS, rows, "json"),
+            "failures": [{"index": i, "x": _frac_str(x), "message": m}
+                         for i, x, m in result.failures],
+        })
+    else:
+        text = _table(SCAN_COLUMNS, rows, "csv")
     if result.capped:
         print("warning: runtime cap hit; output is a prefix of the grid",
               file=sys.stderr)
-        return EXIT_CAP
-    return EXIT_OK
+        return EXIT_CAP, text
+    return EXIT_OK, text
 
 
 # ----------------------------------------------------------------- fit
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    if args.input is None or args.input == "-":
-        stream = sys.stdin
-        close = False
+def cmd_fit(args: argparse.Namespace) -> tuple[int, str]:
+    if args.input == "-":
+        text = sys.stdin.read()
     else:
-        stream = open(args.input, "r", encoding="utf-8", newline="")
-        close = True
+        with open(args.input, encoding="utf-8", newline="") as stream:
+            text = stream.read()
+    records = []
     try:
-        reader = csv.DictReader(stream)
-        records = []
-        for row in reader:
+        for row in csv.DictReader(io.StringIO(text, newline="")):
             x = parse_rational(row["x"])
             error = Enclosure(parse_rational(row["err_lo"]),
                               parse_rational(row["err_hi"]))
@@ -566,47 +483,34 @@ def cmd_fit(args: argparse.Namespace) -> int:
             ))
     except (KeyError, ValueError) as exc:
         raise UsageError(f"input is not a scan CSV: {exc}") from exc
-    finally:
-        if close:
-            stream.close()
 
-    try:
-        report = fit_exponent(records)
-    except FitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    payload = {
+    report = fit_exponent(records)
+    return EXIT_OK, _json({
         "schema": 1,
         "slope": round(report.slope, 12),
         "stderr": round(report.stderr, 12),
         "max_bound_ratio": _up(Fraction(report.max_bound_ratio)),
         "n_points": report.n_points,
         "n_skipped": report.n_skipped,
-    }
-    out, close = _open_output(args.output)
-    try:
-        _emit_json(payload, out)
-    finally:
-        if close:
-            out.close()
-    return EXIT_OK
+    })
 
 
 # ------------------------------------------------------------ selftest
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
     del args
+    lines: list[str] = []
     failures = 0
 
     def check(label: str, fn) -> None:
         nonlocal failures
         try:
             fn()
-            print(f"ok      {label}")
+            lines.append(f"ok      {label}")
         except Exception as exc:  # noqa: BLE001  report and continue
             failures += 1
-            print(f"FAIL    {label}: {type(exc).__name__}: {exc}")
+            lines.append(f"FAIL    {label}: {type(exc).__name__}: {exc}")
 
     def parse_exact():
         assert parse_rational("2.5") == Fraction(5, 2)
@@ -659,7 +563,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     check("duplicate scan points give identical records", duplicate_records)
     check("synthetic exponent recovered", synthetic_slope)
     check("fast estimate flagged heuristic and finite", heuristic_finite)
-    return EXIT_OK if failures == 0 else EXIT_FAIL
+    return (EXIT_OK if failures == 0 else EXIT_FAIL), "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- main
@@ -755,16 +659,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FitError as exc:
+        print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetError as exc:
         print(f"precision budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    path = getattr(args, "output", None)  # selftest has no --output
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            stream.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -223,26 +223,6 @@ class Enclosure:
         return f"Enclosure({self.lo}, {self.hi})"
 
 
-ZERO = Enclosure(Fraction(0), Fraction(0))
-
-
-# Named aliases for the arithmetic surface.
-def enc_add(a: Enclosure, b: Enclosure) -> Enclosure:
-    return a + b
-
-
-def enc_sub(a: Enclosure, b: Enclosure) -> Enclosure:
-    return a - b
-
-
-def enc_mul(a: Enclosure, b: Enclosure) -> Enclosure:
-    return a * b
-
-
-def enc_scale(a: Enclosure, factor: RationalLike) -> Enclosure:
-    return a.scale(factor)
-
-
 def sqrt_enclosure(r: RationalLike, budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
     """Enclosure of sqrt(r) with width <= budget.target_width."""
     f = Fraction(r)

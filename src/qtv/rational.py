@@ -55,14 +55,6 @@ def floor_sqrt_rational(r: Fraction) -> int:
     return isqrt(r.numerator * r.denominator) // r.denominator
 
 
-def floor_root_rational(r: Fraction, k: int) -> int:
-    """floor(r ** (1/k)) exactly for r >= 0: root(p q^(k-1)) / q, floored."""
-    if r < 0:
-        raise ValueError("even root of a negative rational")
-    p, q = r.numerator, r.denominator
-    return iroot(p * q ** (k - 1), k) // q
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', a plain decimal string, or scientific notation, exactly.
 

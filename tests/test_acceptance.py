@@ -15,8 +15,8 @@ import mpmath
 
 from qtv.asymptotics import decompose, decomposed_eval, fast_estimate, \
     fit_exponent, geometric_grid, scan
-from qtv.blocks import RESIDUAL_NAMES, cut_point, qd_blocks, residual_report
-from qtv.cli import RESIDUAL_CAPS
+from qtv.blocks import (RESIDUAL_CAPS, RESIDUAL_NAMES, qd_blocks,
+                        residual_cases, residual_report)
 from qtv.coefficients import (DEFAULT_COEFFS, coeff_sum_limit, gap_coeff,
                               gap_coeff_partial_sum, gap_coeff_sum,
                               limit_estimate, main_constant, zeta_3_2)
@@ -126,16 +126,8 @@ def test_a5_residual_envelopes_hold_with_bounded_drift(capsys):
         maxima = []
         for panel_index, x in enumerate(panels):
             top = Fraction(0)
-            if name == "tail_series":
-                cases = [(None, None, Fraction(10**(panel_index + 1)))]
-            elif name == "q0_mean":
-                cases = [(None, None, x)]
-            elif name in ("cut_point", "between_cuts_k4"):
-                cases = [(d, None, x) for d in range(0, 51)]
-            elif name == "summand_main":
-                cases = [(d, cut_point(x, d), x) for d in range(1, 51)]
-            else:
-                cases = [(d, None, x) for d in range(1, 51)]
+            cases = residual_cases(name, x, range(51),
+                                   Fraction(10**(panel_index + 1)))
             for d, k, arg in cases:
                 ratio = residual_report(name, arg, d, k, tight).ratio_hi
                 top = max(top, ratio)

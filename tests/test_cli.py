@@ -8,6 +8,7 @@ to cover the module entry point.
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -143,6 +144,14 @@ def test_verify_detects_range_shift(capsys):
     assert broken == {"class_closed_form"}
 
 
+def test_verify_skips_classes_beyond_small_x(capsys):
+    # d = 20 has no cut point at x = 15: the residual cases drop it
+    code, payload, _ = run_json(capsys, "verify", "--x", "15")
+    assert code == 0
+    assert {c["params"]["d"] for c in payload["checks"]
+            if c["name"] == "residual_summand_main"} == {1, 5}
+
+
 def test_verify_rejects_malformed_mutation(capsys):
     code, _, err = run(capsys, "verify", "--mutate-coeff", "nope")
     assert code == 2
@@ -248,6 +257,58 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("Q(4) in [")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "100", "--evaluator", "decomposed", "--d-max", "1"),
+    ("eval", "100", "--evaluator", "decomposed", "--d-max", "0"),
+    ("eval", "100", "--evaluator", "fast", "--d-max", "0"),
+    ("constants", "--cross-check-cut", "2"),
+    ("scan", "--workers", "0"),
+    ("scan", "--grid-min", "2", "--grid-max", "1"),
+    ("scan", "--evaluator", "decomposed", "--d-max", "1"),
+], ids=" ".join)
+def test_bad_arguments_are_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _mask_seconds(text):
+    text = re.sub(r"seconds \d+\.\d+", "seconds S", text)
+    text = re.sub(r'"seconds": "?[0-9.e-]+"?', '"seconds": S', text)
+    return re.sub(r",(oracle|decomposed|fast),\d+\.\d+$", r",\1,S", text,
+                  flags=re.M)
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "997"),
+    ("eval", "997", "--format", "json"),
+    ("eval", "1000000", "--evaluator", "fast"),
+    ("decompose", "997", "--d-max", "8"),
+    ("decompose", "997", "--d-max", "8", "--format", "csv"),
+    ("decompose", "997", "--d-max", "8", "--format", "json"),
+    ("verify", "--x", "300", "--d-max", "4"),
+    ("coeffs", "5"),
+    ("coeffs", "5", "--format", "csv"),
+    ("coeffs", "5", "--format", "json"),
+    ("constants", "--cross-check-cut", "10000"),
+    ("constants", "--cross-check-cut", "10000", "--format", "json"),
+    ("scan", "--grid-max", "1000", "--grid-ratio", "10"),
+    ("scan", "--grid-max", "1000", "--grid-ratio", "10", "--format", "json"),
+    ("fit", "--input", "SCAN_CSV"),
+], ids=" ".join)
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    table = tmp_path / "scan.csv"
+    table.write_text("x,err_lo,err_hi,ratio_hi\n100,0.5,0.6,1\n"
+                     "1000,1.5,1.6,1\n10000,3.5,3.6,1\n")
+    argv = [str(table) if arg == "SCAN_CSV" else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--output", str(target)) == (code, "", err)
+    assert out
+    assert _mask_seconds(target.read_bytes().decode()) == _mask_seconds(out)
 
 
 def test_argparse_usage_error_is_exit_2():
