@@ -36,8 +36,8 @@ from statistics import StatisticsError, linear_regression
 
 from .blocks import q0_block_cut, q0_blocks
 from .coefficients import gap_coeff_sum, main_constant
-from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget,
-                       pow_enclosure, scale_for, sqrt_enclosure)
+from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum,
+                       pow_enclosure, sqrt_enclosure)
 from .oracle import QValue, _blocks, q_eval
 from .rational import RationalScalar, iroot, isqrt
 
@@ -71,10 +71,7 @@ class DecompositionReport:
 
     @property
     def class_total(self) -> Enclosure:
-        total = self.base
-        for enc in self.classes:
-            total = total + enc
-        return total
+        return sum(self.classes, self.base)
 
 
 def decompose(x: RationalScalar, d_cut: int = 50,
@@ -94,32 +91,27 @@ def decompose(x: RationalScalar, d_cut: int = 50,
     part = budget.split(3)
     p, q = f.numerator, f.denominator
 
-    # Class pass.  Block ends carry the only nonzero gaps; ends with a
-    # gap above the cut belong to the discard and are only counted.
+    # Class pass.  Block ends carry the only nonzero gaps, and the walk
+    # hands each one over with its term; ends with a gap above the cut
+    # stay out of the sums and only decide whether the discard is charged.
     end_bound = 2 * isqrt(p // q) + 4
-    scale = scale_for(part.target_width, units=end_bound)
-    accs = [0] * (d_cut + 1)
-    slacks = [0] * (d_cut + 1)
-    ops = 0
+    bins = [ScaledSum(part.target_width, end_bound) for _ in range(d_cut)]
+    scale = bins[0].scale
+    units = [0] * (d_cut + 1)
+    counts = [0] * (d_cut + 1)
     over_cut = 0
-    for _start, n_end, gap_val in _blocks(f):
-        ops += 1
-        if gap_val == 0:
-            continue
+    for _start, _end, gap_val, (num, den) in _blocks(f):
         if gap_val > d_cut:
             over_cut += 1
             continue
-        m = q * n_end * (n_end + 1)
-        e = gap_val * m - p
-        accs[gap_val] += e * e * scale // (m * m)
-        slacks[gap_val] += 1
-    classes = tuple(
-        Enclosure(Fraction(accs[d], scale), Fraction(accs[d] + slacks[d], scale))
-        for d in range(1, d_cut + 1)
-    )
+        units[gap_val] += num * scale // den
+        counts[gap_val] += 1
+    for d, acc in enumerate(bins, start=1):
+        acc.add_floors(units[d], counts[d])
+    classes = tuple(acc.enclosure() for acc in bins)
 
     base = q0_blocks(f, part)
-    ops += q0_block_cut(f)
+    ops = sum(counts) + over_cut + q0_block_cut(f)
 
     if over_cut:
         root = sqrt_enclosure(f / (d_cut - 1), part)
@@ -127,9 +119,7 @@ def decompose(x: RationalScalar, d_cut: int = 50,
     else:
         discarded = Enclosure.point(Fraction(0))
 
-    value = base + discarded
-    for enc in classes:
-        value = value + enc
+    value = sum(classes, base + discarded)
     return DecompositionReport(f, d_cut, base, classes, discarded, value, ops)
 
 

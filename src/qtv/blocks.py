@@ -40,9 +40,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, scale_for,
+from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum,
                        sqrt_enclosure)
-from .oracle import q_d_direct
+from .oracle import _term, q_d_direct
 from .rational import RationalScalar, floor_sqrt_rational
 from .tails import g2_tail, g2_tail_real
 
@@ -181,45 +181,23 @@ def qd_blocks(x: RationalScalar, d: int,
     w = budget.target_width
     evals = sum(abs(c) * max(0, b - a) for _, (a, b), c in summand_ranges)
     per = PrecisionBudget(w / (4 * max(1, evals)))
-    s_scale = scale_for(w / 4, units=max(1, evals))
-    lo_units = 0
-    hi_units = 0
-    for name, (a, b), coef in summand_ranges:
+    for name, (a, b), _ in summand_ranges + square_ranges:
         if b > a and a < 0:
-            raise ValueError(f"summand range '{name}' reaches k = {a + 1} < 1")
+            raise ValueError(f"range '{name}' reaches k = {a + 1} < 1")
+    summands = ScaledSum(w / 4, evals)
+    for _, (a, b), coef in summand_ranges:
         for k in range(a + 1, b + 1):
-            enc = block_summand(f, d, k, per)
-            lo_g = (enc.lo.numerator * s_scale) // enc.lo.denominator
-            hi_g = -((-enc.hi.numerator * s_scale) // enc.hi.denominator)
-            if coef > 0:
-                lo_units += coef * lo_g
-                hi_units += coef * hi_g
-            else:
-                lo_units += coef * hi_g
-                hi_units += coef * lo_g
-    sq_len = sum(max(0, b - a) for _, (a, b), c in square_ranges)
-    q_scale = scale_for(w / 4, units=max(1, sq_len))
-    sq_lo = 0
-    sq_hi = 0
+            summands.add(block_summand(f, d, k, per), coef)
+    squares = ScaledSum(w / 4, sum(max(0, b - a) for _, (a, b), _ in square_ranges))
     p, q = f.numerator, f.denominator
-    for name, (a, b), coef in square_ranges:
-        if b > a and a < 0:
-            raise ValueError(f"square range '{name}' reaches k = {a + 1} < 1")
+    for _, (a, b), coef in square_ranges:
+        # (d - x jump_weight(x/k))^2 is the gap-d term at n = floor(x/k)
+        units = 0
         for k in range(a + 1, b + 1):
-            # (d - x jump_weight(x/k))^2 with m = floor(x/k), exact
-            # numerator/denominator, floored onto the grid
-            m = p // (q * k)
-            den = q * m * (m + 1)
-            num = d * den - p
-            u = num * num * q_scale // (den * den)
-            if coef > 0:
-                sq_lo += u
-                sq_hi += u + 1
-            else:
-                sq_lo -= u + 1
-                sq_hi -= u
-    value = Enclosure(Fraction(lo_units, s_scale) + Fraction(sq_lo, q_scale),
-                      Fraction(hi_units, s_scale) + Fraction(sq_hi, q_scale))
+            num, den = _term(p, q, d, p // (q * k))
+            units += num * squares.scale // den
+        squares.add_floors(units, max(0, b - a), coef)
+    value = summands.enclosure() + squares.enclosure()
     direct = q_d_direct(f, d) if compare_direct else None
     return QdBlockReport(f, d, value, (km, k0, kp), direct)
 
@@ -236,20 +214,16 @@ def q0_blocks(x: RationalScalar,
     half = budget.target_width / 2
     top = p // (q * (cut + 1)) + 1
     whole = g2_tail(top, PrecisionBudget(half / xx))
-    lo = xx * whole.lo
-    hi = xx * whole.hi
-    if cut:
-        # subtract the block ends floor(x/v), v = 1..cut, scaled integers
-        scale = scale_for(half, units=cut)
-        pp = p * p * scale
-        qq = q * q
-        acc = 0
-        for v in range(1, cut + 1):
-            mv = p // (q * v)
-            acc += pp // (qq * (mv * (mv + 1)) ** 2)
-        lo -= Fraction(acc + cut, scale)
-        hi -= Fraction(acc, scale)
-    return Enclosure(max(Fraction(0), lo), hi)
+    # subtract the block ends floor(x/v), v = 1..cut, as grid floors
+    ends = ScaledSum(half, cut)
+    pps, qq = p * p * ends.scale, q * q
+    units = 0
+    for v in range(1, cut + 1):
+        m = p // (q * v)
+        units += pps // (qq * (m * (m + 1)) ** 2)
+    ends.add_floors(units, cut, -1)
+    sub = ends.enclosure()
+    return Enclosure(max(Fraction(0), xx * whole.lo + sub.lo), xx * whole.hi + sub.hi)
 
 
 @dataclass(frozen=True)
@@ -345,44 +319,26 @@ def _r_summand_main(f, d, k, b):
 
 
 def _window_actual(f, d, a, co, b):
-    if co <= a:
-        return Enclosure.point(Fraction(0))
-    per = PrecisionBudget(b.target_width / (co - a))
-    total = Enclosure.point(Fraction(0))
-    for k in range(a + 1, co + 1):
-        total = total + block_summand(f, d, k, per)
-    return total
+    per = PrecisionBudget(b.target_width / max(1, co - a))
+    return sum((block_summand(f, d, k, per) for k in range(a + 1, co + 1)),
+               Enclosure.point(Fraction(0)))
 
 
-def _r_window_sum_center(f, d, k, b):
-    d = _need_d(d)
-    k0 = cut_point(f, d)
-    actual = _window_actual(f, d, k0 - d, k0, b)
-    main = sqrt_enclosure(d * f, b).scale(Fraction(8 * d * d, 3))
-    bound = sqrt_enclosure(Fraction(d**7) / f, b).shift(d * d)
-    return actual, main, bound
-
-
-def _r_window_sum_upper(f, d, k, b):
-    d = _need_d(d)
-    if 2 * (d + 1) > f:
-        raise ValueError("upper window needs d + 1 <= x/2")
-    kp = cut_point(f, d + 1)
-    actual = _window_actual(f, d, kp - d - 1, kp, b)
-    main = sqrt_enclosure((d + 1) * f, b).scale(Fraction(8 * d * d + 4 * d - 1, 3))
-    bound = sqrt_enclosure(Fraction(d**7) / f, b).shift(d * d)
-    return actual, main, bound
-
-
-def _r_window_sum_lower(f, d, k, b):
-    d = _need_d(d)
-    if 2 * (d - 1) > f:
-        raise ValueError("lower window needs d - 1 <= x/2")
-    km = cut_point(f, d - 1)
-    actual = _window_actual(f, d, km - d + 1, km, b)
-    main = sqrt_enclosure((d - 1) * f, b).scale(Fraction(8 * d * d - 4 * d - 1, 3))
-    bound = sqrt_enclosure(Fraction(d**7) / f, b).shift(d * d)
-    return actual, main, bound
+def _r_window_sum(shift):
+    """Builder for the class-d summands over the window (K_e - e, K_e]
+    of the neighbouring class e = d + shift, shift in (-1, 0, 1)."""
+    def build(f, d, k, b):
+        d = _need_d(d)
+        e = d + shift
+        if shift and 2 * e > f:
+            raise ValueError(f"the window of class {e} needs {e} <= x/2")
+        ke = cut_point(f, e)
+        actual = _window_actual(f, d, ke - e, ke, b)
+        main = sqrt_enclosure(e * f, b).scale(
+            Fraction(8 * d * d + 4 * shift * d - shift * shift, 3))
+        bound = sqrt_enclosure(Fraction(d**7) / f, b).shift(d * d)
+        return actual, main, bound
+    return build
 
 
 def _r_q0_mean(f, d, k, b):
@@ -399,9 +355,9 @@ _RESIDUALS = {
     "between_cuts_k4": _r_between_cuts_k4,
     "tail_series": _r_tail_series,
     "summand_main": _r_summand_main,
-    "window_sum_center": _r_window_sum_center,
-    "window_sum_upper": _r_window_sum_upper,
-    "window_sum_lower": _r_window_sum_lower,
+    "window_sum_center": _r_window_sum(0),
+    "window_sum_upper": _r_window_sum(1),
+    "window_sum_lower": _r_window_sum(-1),
     "q0_mean": _r_q0_mean,
 }
 

@@ -35,6 +35,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -420,7 +421,10 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
     budget = _budget(args)
     lo = _parse_x(args.grid_min)
     hi = _parse_x(args.grid_max)
-    ratio = parse_rational(args.grid_ratio)
+    try:
+        ratio = parse_rational(args.grid_ratio)
+    except ValueError as exc:
+        raise UsageError(f"cannot parse --grid-ratio {args.grid_ratio!r}") from exc
     if lo < 2 or lo.denominator != 1 or hi.denominator != 1:
         raise UsageError("grid endpoints must be integers >= 2")
     if hi < lo:
@@ -465,8 +469,12 @@ def cmd_fit(args: argparse.Namespace) -> tuple[int, str]:
     if args.input == "-":
         text = sys.stdin.read()
     else:
-        with open(args.input, encoding="utf-8", newline="") as stream:
-            text = stream.read()
+        try:
+            with open(args.input, encoding="utf-8", newline="") as stream:
+                text = stream.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --input {args.input!r}: "
+                             f"{exc.strerror}") from exc
     records = []
     try:
         for row in csv.DictReader(io.StringIO(text, newline="")):
@@ -660,7 +668,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    path = getattr(args, "output", None) or "-"  # selftest has no --output
     try:
+        if path != "-" and not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"--output directory does not exist: {path!r}")
         code, text = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -671,8 +682,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"precision budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    path = getattr(args, "output", None)  # selftest has no --output
-    if path is None or path == "-":
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as stream:

@@ -34,20 +34,24 @@ constant zeta(3/2)/pi of Q(x) ~ (zeta(3/2)/pi) sqrt(x).
 zeta(3/2) itself is enclosed by Euler-Maclaurin at a cutoff N = m^2:
 the choice of a perfect square makes every correction term an exact
 rational (integral 2/m, half-term 1/(2 m^3), Bernoulli terms
-B_2, B_4, B_6 against rising powers of 3/2 at m^{-5}, m^{-9}, m^{-13}),
-and t^{-3/2} is completely monotone, so the remainder is within the
-first omitted Bernoulli term; the bracket charges twice that,
-(429/16384) m^{-17}.  pi is a hard-coded 40-digit truncation bracket,
-far below every width this package hands out.
+B_2, ..., B_2J against rising powers of 3/2 at m^{-5}, m^{-9}, ...,
+m^{-(4J+1)}), and t^{-3/2} is completely monotone, so the remainder is
+within the first omitted Bernoulli term; the bracket charges twice
+that, (429/16384) m^{-17} at order J = 3.  The order rises from 3 until
+m <= max(64, J) (widths down to about 1e-32 keep J = 3), so tight
+widths cost thousands of head terms, not millions.  pi is Machin's
+formula on a scaled-integer grid, at the requested width or 1e-40.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial, prod
 
-from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, scale_for,
-                       sqrt_enclosure)
+from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum,
+                       scale_for, sqrt_enclosure)
 from .rational import iroot, isqrt
 
 DEFAULT_COEFFS = (96, 48, 16, 2, 48, 16, 2)
@@ -97,31 +101,23 @@ def sqrt_sum(limit: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
     """Enclosure of sum_{d=1}^{limit} sqrt(d) by one scaled isqrt per d."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    if limit == 0:
-        return Enclosure.point(Fraction(0))
-    scale = scale_for(budget.target_width, units=limit)
-    ss = scale * scale
-    acc = 0
-    for d in range(1, limit + 1):
-        acc += isqrt(d * ss)
-    return Enclosure(Fraction(acc, scale), Fraction(acc + limit, scale))
+    total = ScaledSum(budget.target_width, limit)
+    ss = total.scale ** 2
+    total.add_floors(sum(isqrt(d * ss) for d in range(1, limit + 1)), limit)
+    return total.enclosure()
 
 
 def gap_coeff_sum(limit: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
     """Closed-form enclosure of sum_{d=1}^{limit} gap_coeff(d).
 
-    Cost does not grow with limit beyond the sqrt_sum loop, so this is
-    the form the fast estimator uses.  limit = 0 gives the empty sum;
-    the collapsed expression lands on an exact 0 there, a handy check
-    that the telescoping bookkeeping is right.
+    The telescoped form: five roots and one sqrt_sum, so the cost does
+    not grow with limit beyond the sqrt_sum loop; the fast estimator uses
+    it.  limit = 0 gives the empty sum; the collapsed expression lands on
+    an exact 0 there, a handy check that the telescoping bookkeeping is
+    right.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    return _closed_form_sum(limit, budget)
-
-
-def _closed_form_sum(limit: int, budget: PrecisionBudget) -> Enclosure:
-    """The telescoped partial sum: five roots and one sqrt_sum."""
     w = budget.target_width
     per = PrecisionBudget(w / 60)
     out = Enclosure.point(Fraction(-2, 15))
@@ -166,45 +162,86 @@ def gap_coeff_partial_sum(limit: int,
     total = Enclosure.point(Fraction(0))
     for d in range(1, limit + 1):
         total = total + gap_coeff(d, per)
-    closed = _closed_form_sum(limit, PrecisionBudget(w / 2))
+    closed = gap_coeff_sum(limit, PrecisionBudget(w / 2))
     lim = coeff_sum_limit(PrecisionBudget(w / 2))
     return CoeffPartialSum(limit, total, closed, closed - lim)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli(n: int) -> Fraction:
+    """B_n from sum_{k<=n} C(n+1, k) B_k = 0 with B_0 = 1 (B_1 = -1/2)."""
+    if n == 0:
+        return Fraction(1)
+    return -sum(comb(n + 1, k) * _bernoulli(k) for k in range(n)) / (n + 1)
+
+
+@lru_cache(maxsize=None)
+def _em_coeff(j: int) -> Fraction:
+    """B_2j / (2j)! times (3/2)(5/2)...((4j-1)/2): Euler-Maclaurin term j
+    of n^{-3/2} at the cutoff m^2, in units of m^-(4j+1)."""
+    return (_bernoulli(2 * j) * prod(range(3, 4 * j, 2))
+            / (factorial(2 * j) * 2 ** (2 * j - 1)))
 
 
 def zeta_3_2(budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
     """Enclosure of zeta(3/2) = sum n^{-3/2}, width <= budget."""
     w = budget.target_width
-    # remainder slice: (429/16384) m^-17 <= w/4
-    need = -(-4 * 429 * w.denominator // (16384 * w.numerator))
-    m = max(2, iroot(need, 17) + 1)
+    scale_for(w / 2)  # past the scale cap, fail before any root
+    # remainder 2 |c_{J+1}| m^-(4J+5) <= w/4, first J >= 3 with m <= max(64, J)
+    order = 3
+    while True:
+        bound = 2 * abs(_em_coeff(order + 1))
+        need = -(-4 * bound.numerator * w.denominator
+                 // (bound.denominator * w.numerator))
+        m = max(2, iroot(need, 4 * order + 5) + 1)
+        if m <= max(64, order):
+            break
+        order += 1
     cut = m * m
-    core = (Fraction(2, m) + Fraction(1, 2 * m**3) + Fraction(1, 8 * m**5)
-            - Fraction(7, 384 * m**9) + Fraction(11, 1024 * m**13))
-    margin = Fraction(429, 16384 * m**17)
-    # head slice: n^{-3/2} = sqrt(n)/n^2 bracketed within one grid unit
-    scale = scale_for(w / 2, units=cut - 1)
-    ss = scale * scale
-    acc = 0
-    for n in range(1, cut):
-        acc += isqrt(n * ss) // (n * n)
-    return Enclosure(Fraction(acc, scale) + core - margin,
-                     Fraction(acc + cut - 1, scale) + core + margin)
+    core = Fraction(2, m) + Fraction(1, 2 * m**3) + sum(
+        _em_coeff(j) / m ** (4 * j + 1) for j in range(1, order + 1))
+    margin = bound / m ** (4 * order + 5)
+    # head slice: n^{-3/2} = sqrt(n)/n^2 floored onto the grid
+    head = ScaledSum(w / 2, cut - 1)
+    ss = head.scale ** 2
+    head.add_floors(sum(isqrt(n * ss) // (n * n) for n in range(1, cut)), cut - 1)
+    return head.enclosure() + Enclosure(core - margin, core + margin)
 
 
-# pi truncated after 40 digits; the true value continues 6939... so
-# this pair of rationals brackets it with width 1e-40
-_PI_LO = Fraction(31415926535897932384626433832795028841971, 10**40)
+def pi_enclosure(budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
+    """Enclosure of pi by Machin's formula, width <= min(budget, 1e-40).
 
-
-def pi_enclosure() -> Enclosure:
-    """Fixed 40-digit bracket of pi, width 1e-40."""
-    return Enclosure(_PI_LO, _PI_LO + Fraction(1, 10**40))
+    pi = 16 atan(1/5) - 4 atan(1/239) with atan(1/k) = sum_j (-1)^j t_j,
+    t_j = 1/((2j+1) k^(2j+1)); the terms fall, so stopping before t_J
+    leaves a remainder between 0 and (-1)^J t_J.  The two remainders get
+    a quarter of the width each, the grid floors the other half."""
+    w = min(budget.target_width, Fraction(1, 10**40))
+    wn, wd = w.numerator, w.denominator
+    series = []
+    for coef, k in ((16, 5), (-4, 239)):
+        # divisors (2j+1) k^(2j+1) up to the first j = J with |coef| t_J <= w/4
+        divs = [k]
+        power = k
+        while 4 * abs(coef) * wd > wn * divs[-1]:
+            power *= k * k
+            divs.append((2 * len(divs) + 1) * power)
+        series.append((coef, divs))
+    total = ScaledSum(w / 2, sum(abs(coef) * len(divs) for coef, divs in series))
+    for coef, divs in series:
+        for j, div in enumerate(divs[:-1]):
+            total.add_floors(total.scale // div, 1, (-1) ** j * coef)
+        total.add(Enclosure(Fraction(0), Fraction(1, divs[-1])),
+                  (-1) ** (len(divs) - 1) * coef)
+    return total.enclosure()
 
 
 def main_constant(budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
-    """Enclosure of zeta(3/2)/pi, the sqrt(x) coefficient of Q(x)."""
+    """Enclosure of zeta(3/2)/pi, the sqrt(x) coefficient of Q(x).
+
+    zeta at width 2w and pi at w/2 give 2w/pi + zeta(3/2) w / (2 pi^2)
+    < 0.77 w."""
     z = zeta_3_2(PrecisionBudget(budget.target_width * 2))
-    return z / pi_enclosure()
+    return z / pi_enclosure(budget.split(2))
 
 
 def coeff_sum_limit(budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
@@ -225,6 +262,6 @@ def limit_estimate(limit: int,
     if limit < 4:
         raise ValueError("the two-point estimate needs limit >= 4")
     w = budget.target_width
-    big = _closed_form_sum(limit, PrecisionBudget(w / 4))
-    small = _closed_form_sum(limit // 4, PrecisionBudget(w / 2))
+    big = gap_coeff_sum(limit, PrecisionBudget(w / 4))
+    small = gap_coeff_sum(limit // 4, PrecisionBudget(w / 2))
     return big.scale(2) - small

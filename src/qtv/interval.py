@@ -13,7 +13,7 @@ width w pick S = 10^e >= 1/w, then
     lo = floor(sqrt(r) * S) / S,   hi = lo            if lo is exact,
                                         lo + 1/S      otherwise,
 
-with lo decided by math.isqrt on floor(r * S^2).  This is the unit
+with lo decided by one integer root of floor(r * S^2).  This is the unit
 integer bracket [floor(sqrt r), floor(sqrt r)+1] bisected e decimal
 digits deep, collapsed into a single integer square root; the iteration
 count is deterministic in the budget and the result is reproducible.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .rational import RationalScalar, iroot, isqrt, parse_rational
+from .rational import RationalScalar, iroot
 
 RationalLike = Union[RationalScalar, int]
 
@@ -71,10 +71,6 @@ class PrecisionBudget:
         if self.target_width <= 0:
             raise ValueError("target width must be positive")
 
-    @classmethod
-    def parse(cls, text: str) -> "PrecisionBudget":
-        return cls(parse_rational(text))
-
     def split(self, parts: int) -> "PrecisionBudget":
         """Budget for one of `parts` summands whose widths add up."""
         if parts < 1:
@@ -103,31 +99,6 @@ def scale_for(width: Fraction, units: int = 1) -> int:
         raise BudgetError(width, "scale cap exceeded")
     digits = _decimal_digits(need - 1)
     return 10**digits
-
-
-def sqrt_scaled(num: int, den: int, scale: int) -> tuple[int, int]:
-    """Integer endpoints of sqrt(num/den) at denominator `scale`.
-
-    Returns (a, b) with a/scale <= sqrt(num/den) <= b/scale and b-a <= 1.
-    """
-    if num < 0 or den <= 0:
-        raise ValueError("sqrt_scaled needs num >= 0, den > 0")
-    target = num * scale * scale
-    a = isqrt(target // den)
-    if a * a * den == target:
-        return a, a
-    return a, a + 1
-
-
-def root_scaled(num: int, den: int, k: int, scale: int) -> tuple[int, int]:
-    """Integer endpoints of (num/den)^(1/k) at denominator `scale`."""
-    if num < 0 or den <= 0:
-        raise ValueError("root_scaled needs num >= 0, den > 0")
-    target = num * scale**k
-    a = iroot(target // den, k)
-    if a**k * den == target:
-        return a, a
-    return a, a + 1
 
 
 @dataclass(frozen=True)
@@ -223,14 +194,55 @@ class Enclosure:
         return f"Enclosure({self.lo}, {self.hi})"
 
 
+class ScaledSum:
+    """Outward-rounded sum on the grid 1/scale, the smallest power of ten
+    that keeps `roundings` one-unit roundings inside `width`.
+
+    Long loops floor their terms onto the grid and hand in the integer
+    total (add_floors); an enclosure is rounded outward here (add).  A
+    negative coefficient swaps the bracket ends.  A floored term or exact
+    value costs |coef| units of width, an enclosure of width v at most
+    |coef| (v scale + 2).
+    """
+
+    def __init__(self, width: Fraction, roundings: int):
+        self.scale = scale_for(width, units=roundings)
+        self.lo = 0
+        self.hi = 0
+
+    def add_floors(self, total: int, count: int, coef: int = 1) -> None:
+        """Add coef times `count` terms whose grid floors sum to `total`."""
+        if coef >= 0:
+            self.lo += coef * total
+            self.hi += coef * (total + count)
+        else:
+            self.lo += coef * (total + count)
+            self.hi += coef * total
+
+    def add(self, enc: Enclosure, coef: int = 1) -> None:
+        """Add coef times a value inside enc, rounded outward."""
+        lo = enc.lo.numerator * self.scale // enc.lo.denominator
+        hi = -(-enc.hi.numerator * self.scale // enc.hi.denominator)
+        self.add_floors(lo, hi - lo, coef)
+
+    def enclosure(self) -> Enclosure:
+        return Enclosure.from_scaled(self.lo, self.hi, self.scale)
+
+
+def _root(f: Fraction, k: int, budget: PrecisionBudget) -> Enclosure:
+    """[a, a or a + 1] / S around f^(1/k) >= 0 with a = floor(f^(1/k) S)."""
+    scale = scale_for(budget.target_width)
+    target = f.numerator * scale**k
+    a = iroot(target // f.denominator, k)
+    return Enclosure.from_scaled(a, a if a**k * f.denominator == target else a + 1, scale)
+
+
 def sqrt_enclosure(r: RationalLike, budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
     """Enclosure of sqrt(r) with width <= budget.target_width."""
     f = Fraction(r)
     if f < 0:
         raise ValueError("sqrt of a negative value")
-    scale = scale_for(budget.target_width)
-    a, b = sqrt_scaled(f.numerator, f.denominator, scale)
-    return Enclosure.from_scaled(a, b, scale)
+    return _root(f, 2, budget)
 
 
 def root_enclosure(r: RationalLike, k: int, budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
@@ -240,9 +252,7 @@ def root_enclosure(r: RationalLike, k: int, budget: PrecisionBudget = DEFAULT_BU
         raise ValueError("root of a negative value")
     if k < 1:
         raise ValueError("root order must be >= 1")
-    scale = scale_for(budget.target_width)
-    a, b = root_scaled(f.numerator, f.denominator, k, scale)
-    return Enclosure.from_scaled(a, b, scale)
+    return _root(f, k, budget)
 
 
 def pow_enclosure(

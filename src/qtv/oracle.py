@@ -16,12 +16,15 @@ tail of tails.g2_tail.  The crossover is sharp: for x >= 1 the last
 nonzero gap sits exactly at n = floor(x), because x/floor(x) >= 1 >
 x/(floor(x)+1), so the head must cover n <= floor(x) and no further.
 
-Heads are summed exactly as fractions up to EXACT_HEAD_LIMIT terms.
-Past that, exact arithmetic drowns in common denominators (the reduced
-denominator of the head grows like lcm(1..N)^2, which has on the order
-of 0.87 N digits), so large heads switch to scaled integer sums: each
-term contributes floor(term * scale) at a power-of-ten scale sized so
-the N dropped sub-unit remainders stay inside the width budget.  The
+Heads are walked block by block along the constancy blocks of
+floor(x/n) (below): the interior of a block has gap 0, so its terms are
+p^2/(q n(n+1))^2 summed straight over the index range, and the block end
+adds its one term with the block's gap.  Up to EXACT_HEAD_LIMIT terms
+the walk sums exact fractions.  Past that, exact arithmetic drowns in
+common denominators (the reduced denominator of the head grows like
+lcm(1..N)^2, which has on the order of 0.87 N digits), so the same walk
+adds floor(term * scale) instead, at a power-of-ten scale sized so the
+N dropped sub-unit remainders stay inside the width budget.  The
 reported head is then the floor sum, an exact certified lower bound,
 and the rounding slack rides along in the tail bracket.
 
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .interval import DEFAULT_BUDGET, Enclosure, PrecisionBudget, scale_for
+from .interval import DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum
 from .rational import RationalScalar
 from .tails import g2_tail
 
@@ -50,24 +53,25 @@ def frac_part(r: RationalScalar) -> Fraction:
     return f - (f.numerator // f.denominator)
 
 
-def gap(x: RationalScalar, n: int) -> int:
-    """floor(x/n) - floor(x/(n+1)) for x > 0, n >= 1."""
+def _checked(x: RationalScalar, n: int) -> Fraction:
     f = Fraction(x)
     if f <= 0:
         raise ValueError("x must be positive")
     if n < 1:
         raise ValueError("index must be >= 1")
+    return f
+
+
+def gap(x: RationalScalar, n: int) -> int:
+    """floor(x/n) - floor(x/(n+1)) for x > 0, n >= 1."""
+    f = _checked(x, n)
     p, q = f.numerator, f.denominator
     return p // (q * n) - p // (q * (n + 1))
 
 
 def term(x: RationalScalar, n: int) -> Fraction:
     """({x/(n+1)} - {x/n})^2, straight from the definition."""
-    f = Fraction(x)
-    if f <= 0:
-        raise ValueError("x must be positive")
-    if n < 1:
-        raise ValueError("index must be >= 1")
+    f = _checked(x, n)
     return (frac_part(f / (n + 1)) - frac_part(f / n)) ** 2
 
 
@@ -84,6 +88,28 @@ def _tree_sum(values: list[Fraction]) -> Fraction:
     return vals[0]
 
 
+def _term(p: int, q: int, g: int, n: int) -> tuple[int, int]:
+    """(num, den) of the term (g m - p)^2 / m^2 at index n with gap g,
+    for x = p/q and m = q n (n+1)."""
+    m = q * n * (n + 1)
+    e = g * m - p
+    return e * e, m * m
+
+
+def _head_runs(x: Fraction, count: int) -> Iterator[tuple[int, int, int, int]]:
+    """(start, stop, num, den) runs covering n = 1..count: gap 0 on
+    start..stop-1, then num/den, the term at a block end stop, or 0/1
+    after a last run cut off at count or running past floor(x)."""
+    n = 1
+    for n_start, n_end, _, (num, den) in _blocks(x):
+        if n_end > count:
+            break
+        yield n_start, n_end, num, den
+        n = n_end + 1
+    if n <= count:
+        yield n, count + 1, 0, 1
+
+
 def q_head(x: RationalScalar, count: int) -> Fraction:
     """Exact sum of the first `count` terms.
 
@@ -95,44 +121,26 @@ def q_head(x: RationalScalar, count: int) -> Fraction:
         raise ValueError("x must be positive")
     if count < 0:
         raise ValueError("count must be >= 0")
-    p, q = f.numerator, f.denominator
+    pp, q = f.numerator ** 2, f.denominator
     terms: list[Fraction] = []
-    fprev = p // q
-    qn1 = 2 * q
-    m = 2 * q
-    for _ in range(count):
-        fcur = p // qn1
-        e = (fprev - fcur) * m - p
-        terms.append(Fraction(e * e, m * m))
-        fprev = fcur
-        m += 2 * qn1
-        qn1 += q
+    for start, stop, num, den in _head_runs(f, count):
+        terms.extend(Fraction(pp, (q * n * (n + 1)) ** 2) for n in range(start, stop))
+        terms.append(Fraction(num, den))
     return _tree_sum(terms)
 
 
-def _head_scaled(x: Fraction, count: int, budget: PrecisionBudget) -> tuple[int, int, int]:
-    """(lo_units, hi_units, scale) bracketing the head sum of `count` terms.
-
-    Pure integer loop: term n contributes floor(e^2 scale / m^2).  The
-    floor drops under one unit per term, so hi = lo + count is a valid
-    ceiling and the bracket width is exactly count/scale.
-    """
-    p, q = x.numerator, x.denominator
-    scale = scale_for(budget.target_width, units=max(count, 1))
-    acc = 0
-    fprev = p // q
-    qn1 = 2 * q
-    m = 2 * q
-    left = count
-    while left:
-        fcur = p // qn1
-        e = (fprev - fcur) * m - p
-        acc += e * e * scale // (m * m)
-        fprev = fcur
-        m += 2 * qn1
-        qn1 += q
-        left -= 1
-    return acc, acc + count, scale
+def _head_scaled(x: Fraction, count: int, budget: PrecisionBudget) -> Enclosure:
+    """Enclosure of the head sum of `count` terms: the walk adds each
+    term's floor on the grid, and one unit per term covers the rest."""
+    head = ScaledSum(budget.target_width, count)
+    scale = head.scale
+    pps, qq = x.numerator ** 2 * scale, x.denominator ** 2
+    units = 0
+    for start, stop, num, den in _head_runs(x, count):
+        units += (sum(pps // (qq * (n * (n + 1)) ** 2) for n in range(start, stop))
+                  + num * scale // den)
+    head.add_floors(units, count)
+    return head.enclosure()
 
 
 def tail_enclosure(x: RationalScalar, start: int, budget: PrecisionBudget) -> Enclosure:
@@ -192,16 +200,12 @@ def q_eval(x: RationalScalar, budget: PrecisionBudget = DEFAULT_BUDGET) -> QValu
     count = f.numerator // f.denominator
     start = count + 1
     if count <= EXACT_HEAD_LIMIT:
-        head = q_head(f, count)
-        tail = tail_enclosure(f, start, budget)
-        value = Enclosure(head + tail.lo, head + tail.hi)
-        return QValue(f, value, head, tail, count)
-    half = budget.split(2)
-    lo_units, hi_units, scale = _head_scaled(f, count, half)
-    head = Fraction(lo_units, scale)
-    slack = Fraction(hi_units - lo_units, scale)
-    series = tail_enclosure(f, start, half)
-    tail = Enclosure(series.lo, series.hi + slack)
+        head, tail = q_head(f, count), tail_enclosure(f, start, budget)
+    else:
+        half = budget.split(2)
+        scaled = _head_scaled(f, count, half)
+        series = tail_enclosure(f, start, half)
+        head, tail = scaled.lo, Enclosure(series.lo, series.hi + scaled.width)
     value = Enclosure(head + tail.lo, head + tail.hi)
     return QValue(f, value, head, tail, count)
 
@@ -224,25 +228,23 @@ class GapClass:
         for a, b in self.ranges:
             yield from range(a, b + 1)
 
-    @property
-    def finite_count(self) -> int:
-        return sum(b - a + 1 for a, b in self.ranges)
 
+def _blocks(x: Fraction) -> Iterator[tuple[int, int, int, tuple[int, int]]]:
+    """(n_start, n_end, gap, (num, den)) per constancy block of floor(x/n).
 
-def _blocks(x: Fraction) -> Iterator[tuple[int, int, int]]:
-    """(n_start, n_end, gap at n_end) per constancy block of floor(x/n).
-
-    Covers 1 <= n <= floor(x); the gap at each block end is >= 1 and
-    every interior index has gap 0.  O(sqrt(x)) blocks.
+    Covers 1 <= n <= floor(x); the gap at each block end is >= 1, every
+    interior index has gap 0, and num/den is the term at n_end.
+    O(sqrt(x)) blocks.
     """
     p, q = x.numerator, x.denominator
-    top = p // q
+    top = v = p // q
     n = 1
     while n <= top:
-        v = p // (q * n)
         n_end = p // (q * v)
-        yield n, n_end, v - p // (q * (n_end + 1))
+        nxt = p // (q * (n_end + 1))
+        yield n, n_end, v - nxt, _term(p, q, v - nxt, n_end)
         n = n_end + 1
+        v = nxt
 
 
 def gap_class(x: RationalScalar, d: int) -> GapClass:
@@ -254,11 +256,11 @@ def gap_class(x: RationalScalar, d: int) -> GapClass:
         raise ValueError("gap values are nonnegative")
     runs: list[tuple[int, int]] = []
     if d == 0:
-        for n_start, n_end, _ in _blocks(f):
+        for n_start, n_end, _, _ in _blocks(f):
             if n_start < n_end:
                 runs.append((n_start, n_end - 1))
         return GapClass(0, tuple(runs), f.numerator // f.denominator + 1)
-    for _, n_end, jump in _blocks(f):
+    for _, n_end, jump, _ in _blocks(f):
         if jump == d:
             runs.append((n_end, n_end))
     return GapClass(d, tuple(runs), None)
@@ -272,12 +274,9 @@ def q_values_by_gap(x: RationalScalar) -> dict[int, Fraction]:
     f = Fraction(x)
     if f <= 0:
         raise ValueError("x must be positive")
-    p, q = f.numerator, f.denominator
     parts: dict[int, list[Fraction]] = {}
-    for _, n_end, jump in _blocks(f):
-        m = q * n_end * (n_end + 1)
-        e = jump * m - p
-        parts.setdefault(jump, []).append(Fraction(e * e, m * m))
+    for _, _, jump, (num, den) in _blocks(f):
+        parts.setdefault(jump, []).append(Fraction(num, den))
     return {d: _tree_sum(vals) for d, vals in sorted(parts.items())}
 
 
@@ -286,14 +285,10 @@ def q_d_direct(x: RationalScalar, d: int) -> Fraction:
     if d < 1:
         raise ValueError("finite classes have d >= 1; use q0_direct for d = 0")
     f = Fraction(x)
-    cls = gap_class(f, d)
-    p, q = f.numerator, f.denominator
-    terms = []
-    for n in cls.members():
-        m = q * n * (n + 1)
-        e = d * m - p
-        terms.append(Fraction(e * e, m * m))
-    return _tree_sum(terms)
+    if f <= 0:
+        raise ValueError("x must be positive")
+    return _tree_sum([Fraction(num, den)
+                      for _, _, jump, (num, den) in _blocks(f) if jump == d])
 
 
 def q0_direct(x: RationalScalar, budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:

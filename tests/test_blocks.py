@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtv.asymptotics import decompose
 from qtv.blocks import (RESIDUAL_NAMES, block_summand, cut_point,
                         q0_block_cut, q0_blocks, qd_blocks, residual_report,
                         sum_k3_range, sum_k4_range, sum_k_range)
+from qtv.coefficients import sqrt_sum, zeta_3_2
 from qtv.interval import PrecisionBudget
 from qtv.oracle import q0_direct, q_d_direct
 
@@ -132,3 +134,75 @@ def test_residual_reports_have_positive_envelopes():
 def test_residual_report_rejects_unknown_name():
     with pytest.raises(ValueError):
         residual_report("no_such_lemma", Fraction(100), d=1)
+
+
+# Exact endpoints of the grid-summed routes: any change in how one of
+# them rounds onto its grid moves them.  decompose(10**7, 20) classes are
+# in units of 1e-14.
+PINNED = {
+    "qd_blocks(10**6, 7)": ("54444234603831/10000000000000",
+                            "54444234604991/10000000000000"),
+    "q0_blocks(10**6)": (
+        "2010994331994800520690013653817813369356943/15135541261891891260"
+        "540135015000000000000",
+        "4021988663992625130524153307509482657689883/30271082523783782521"
+        "080270030000000000000"),
+    "sqrt_sum(500)": ("7464534242051463/1000000000000",
+                      "7464534242051963/1000000000000"),
+    "zeta_3_2(1e-30)": (
+        "930266358873156945271905363807778394901060599664995319106863343/"
+        "356099807533880723995701136170000000000000000000000000000000000",
+        "930266358873156945271905363808045541397894408653234201402267543/"
+        "356099807533880723995701136170000000000000000000000000000000000"),
+    "base": (
+        "28061223158591824896950636502118500644189534049491/6654447789798"
+        "5331055027507220418300000000000000",
+        "14030611579296964183976495909216575031846385735977/3327223894899"
+        "2665527513753610209150000000000000"),
+    "discarded": ("0", "7254762501101/10000000000"),
+    "value": (
+        "83561578278230748432063898989314391591036594338113/3327223894899"
+        "2665527513753610209150000000000000",
+        "215399594847432171672834778483944108709475701662247/665444778979"
+        "85331055027507220418300000000000000"),
+}
+PINNED_CLASS_UNITS = [
+    (175303819963531895, 175303819963535599),
+    (11442776432688745, 11442776432689355),
+    (5473991336233690, 5473991336234005),
+    (3417822483048833, 3417822483049035),
+    (2436653862444875, 2436653862445019),
+    (1773842766755854, 1773842766755961),
+    (1494653402564583, 1494653402564670),
+    (1167353079716336, 1167353079716406),
+    (944662067936723, 944662067936781),
+    (821234093263101, 821234093263152),
+    (720677449975393, 720677449975437),
+    (606059088918075, 606059088918112),
+    (587137370517663, 587137370517697),
+    (544469271023958, 544469271023989),
+    (415778885669365, 415778885669391),
+    (481503120097362, 481503120097388),
+    (382461450104700, 382461450104722),
+    (342362111287016, 342362111287036),
+    (325241499847733, 325241499847753),
+    (293418012283645, 293418012283663),
+]
+
+
+def test_grid_sums_are_pinned():
+    report = decompose(Fraction(10**7), 20)
+    got = {
+        "qd_blocks(10**6, 7)": qd_blocks(Fraction(10**6), 7,
+                                         compare_direct=False).value,
+        "q0_blocks(10**6)": q0_blocks(Fraction(10**6)),
+        "sqrt_sum(500)": sqrt_sum(500),
+        "zeta_3_2(1e-30)": zeta_3_2(PrecisionBudget(Fraction(1, 10**30))),
+        "base": report.base,
+        "discarded": report.discarded,
+        "value": report.value,
+    }
+    for name, (lo, hi) in PINNED.items():
+        assert (got[name].lo, got[name].hi) == (Fraction(lo), Fraction(hi)), name
+    units = [(c.lo * 10**14, c.hi * 10**14) for c in report.classes]
+    assert units == PINNED_CLASS_UNITS

@@ -267,6 +267,9 @@ def test_module_entry_point():
     ("scan", "--workers", "0"),
     ("scan", "--grid-min", "2", "--grid-max", "1"),
     ("scan", "--evaluator", "decomposed", "--d-max", "1"),
+    ("scan", "--grid-ratio", "abc"),
+    ("fit", "--input", "missing.csv"),
+    ("eval", "1", "--output", "/nonexistent/x.txt"),
 ], ids=" ".join)
 def test_bad_arguments_are_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

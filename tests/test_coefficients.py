@@ -129,11 +129,24 @@ def test_zeta_value_against_mpmath_and_sandwich():
 
 
 def test_pi_bracket():
-    mpmath.mp.dps = 60
-    ref = mp_fraction(mpmath.pi, 50)
-    enc = pi_enclosure()
-    assert enc.width == Fraction(1, 10**40)
-    assert enc.intersects(padded(ref, Fraction(1, 10**45)))
+    # Machin's series meets every width, capped at 1e-40 for loose ones
+    mpmath.mp.dps = 110
+    ref = padded(mp_fraction(mpmath.pi, 100), Fraction(1, 10**99))
+    for digits in range(10, 81, 5):
+        width = Fraction(1, 10**digits)
+        enc = pi_enclosure(PrecisionBudget(width))
+        assert enc.width <= min(width, Fraction(1, 10**40))
+        assert enc.intersects(ref)
+
+
+def test_main_constant_meets_widths_past_forty_digits():
+    mpmath.mp.dps = 110
+    ref = mp_fraction(mpmath.zeta(mpmath.mpf(3) / 2) / mpmath.pi, 100)
+    for digits in (45, 60, 80):
+        width = Fraction(1, 10**digits)
+        enc = main_constant(PrecisionBudget(width))
+        assert enc.width <= width
+        assert enc.intersects(padded(ref, Fraction(1, 10**99)))
 
 
 def test_main_constant_against_oracle():

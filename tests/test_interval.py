@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qtv.interval import (BudgetError, Enclosure, PrecisionBudget,
+from qtv.interval import (BudgetError, Enclosure, PrecisionBudget, ScaledSum,
                           pow_enclosure, root_enclosure, scale_for,
                           sqrt_enclosure)
 
@@ -122,3 +122,26 @@ def test_from_scaled():
     out = Enclosure.from_scaled(250, 252, 1000)
     assert out.lo == Fraction(1, 4) and out.hi == Fraction(63, 250)
     assert out.width == Fraction(2, 1000)
+
+
+@given(st.lists(st.tuples(st.fractions(min_value=0, max_value=1000),
+                          st.integers(-6, 6)), max_size=25),
+       st.integers(0, 15))
+def test_scaled_sum_contains_exact_sum(terms, digits):
+    width = Fraction(1, 10**digits)
+    floors = ScaledSum(width, len(terms))
+    enclosures = ScaledSum(width, len(terms))
+    scale = floors.scale
+    # floor totals go in grouped by coefficient, as the long loops do
+    for coef in {c for _, c in terms}:
+        group = [t for t, c in terms if c == coef]
+        total = sum(t.numerator * scale // t.denominator for t in group)
+        floors.add_floors(total, len(group), coef)
+    for t, coef in terms:
+        enclosures.add(Enclosure.point(t), coef)
+    exact = sum(c * t for t, c in terms)
+    bound = Fraction(sum(abs(c) for _, c in terms), scale)
+    for acc in (floors, enclosures):
+        enc = acc.enclosure()
+        assert enc.contains(exact)
+        assert enc.width <= bound

@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtv.interval import PrecisionBudget
-from qtv.oracle import (EXACT_HEAD_LIMIT, QValue, frac_part, gap, gap_class,
-                        q0_direct, q_d_direct, q_eval, q_head,
-                        q_values_by_gap, term)
+from qtv.interval import Enclosure, PrecisionBudget, scale_for
+from qtv.oracle import (EXACT_HEAD_LIMIT, QValue, _head_scaled, frac_part,
+                        gap, gap_class, q0_direct, q_d_direct, q_eval,
+                        q_head, q_values_by_gap, term)
 
 REFERENCE_Q1 = Fraction("0.289868133696452872944830333292")
 
@@ -31,6 +31,41 @@ def test_head_matches_term_by_term():
     for x in (Fraction(1), Fraction(7, 2), Fraction(10), Fraction(37, 3)):
         direct = sum(term(x, n) for n in range(1, 30))
         assert q_head(x, 29) == direct
+    # counts below, at and above floor(x): the block walk stops inside a
+    # block, on a block end, at the last block, or runs on past floor(x)
+    for x in (Fraction(1000), Fraction(12345, 7)):
+        top = x.numerator // x.denominator
+        counts = {top // 2 - 100, top // 2, top - 1, top, top + 1, top + 9}
+        assert q_head(x, 0) == 0
+        partial = Fraction(0)
+        for n in range(1, max(counts) + 1):
+            partial += term(x, n)
+            if n in counts:
+                assert q_head(x, n) == partial, (x, n)
+
+
+def test_scaled_head_units_are_term_floors():
+    budget = PrecisionBudget(Fraction(1, 10**9))
+    for x in (Fraction(10001), Fraction(70001, 7)):
+        count = x.numerator // x.denominator
+        scale = scale_for(budget.target_width, units=count)
+        units = sum(t.numerator * scale // t.denominator
+                    for t in (term(x, n) for n in range(1, count + 1)))
+        head = _head_scaled(x, count, budget)
+        assert head == Enclosure(Fraction(units, scale),
+                                 Fraction(units + count, scale))
+
+
+def test_scaled_head_endpoints_are_pinned():
+    # exact endpoints of q_eval(10001): any change in how the scaled head
+    # rounds onto its grid moves them
+    value = q_eval(Fraction(10001)).value
+    assert value.lo == Fraction(
+        "333265925080158005033885886010239211624572666460249/410895122150"
+        "7077040397051890094502100000000000000")
+    assert value.hi == Fraction(
+        "33326592508056894124554880878515871766019476761527/4108951221507"
+        "07704039705189009450210000000000000")
 
 
 def test_gap_sequence_at_ten():
@@ -62,7 +97,6 @@ def test_q_eval_packaging_invariants():
 
 
 def test_qvalue_rejects_mismatched_parts():
-    from qtv.interval import Enclosure
     with pytest.raises(ValueError):
         QValue(Fraction(2), Enclosure(Fraction(1), Fraction(2)),
                Fraction(1), Enclosure(Fraction(1), Fraction(2)), 1)
