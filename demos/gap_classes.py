@@ -42,5 +42,5 @@ kept = rep.classes[0]
 for enc in rep.classes[1:]:
     kept = kept + enc
 print("  classes 1..50: [%.6f, %.6f]" % (kept.lo, kept.hi))
-print("  discarded d > 50 bracketed by [0, %.6f]" % rep.discarded.hi)
+print("  rest d > 50:   [%.6f, %.6f]" % (rep.rest.lo, rep.rest.hi))
 print("  total: [%.6f, %.6f]" % (rep.value.lo, rep.value.hi))

@@ -6,22 +6,22 @@ decomposition, c sqrt(x) from the constants module, and x^(3/7) from
 exact 7th-root bracketing of x^3, so a record's bound_ratio really
 brackets |E(x)| / x^(3/7).
 
-The decomposition evaluator re-sums the series by gap class.  One pass
-over the floor blocks of x collects the exact class totals for
-1 <= d <= d_cut (each class member sits at a block end, so the pass
-touches about 2 sqrt(x) blocks, never x terms), the zero-gap class
-comes from its own closed form, and the discarded classes d > d_cut
-are bracketed by [0, sqrt(x / (d_cut - 1))]: each discarded term is a
-square trapped between consecutive jumps, and those jumps thin out
-fast enough that the whole discard stays under that root.  op_count
-reports the pass length so scaling tests can watch the growth rate.
+The decomposition evaluator re-sums the series by gap class.  Every
+term with a nonzero gap sits at a block end of floor(x/n), so one pass
+over the about 2 sqrt(x) blocks (never x terms) puts each end term on
+one scaled-integer grid: into the bin of its class d <= d_cut, or into
+a single rest bin for the classes above the cut.  The zero-gap class
+comes from its own closed form.  The rest is therefore enclosed as
+tightly as any class bin, and the total does not depend on d_cut.
+op_count reports the pass length so scaling tests can watch the growth
+rate.
 
 The fast estimator is the one uncertified number in this module.  It
 evaluates (2/15 + sum_{d <= D} gap_coeff(d)) * sqrt(x) through the
 closed-form partial sum and attaches the allowance C1 D^3 +
 C2 sqrt(x/D).  The allowance is a fitted envelope, not a bound; the
-rigorous flag on the result stays False and the defaults for C1, C2
-record what the dev-time panels showed, nothing more.
+rigorous flag on the result stays False and FAST_C1, FAST_C2 record
+what the dev-time panels showed, nothing more.
 """
 
 from __future__ import annotations
@@ -49,25 +49,24 @@ class DecompositionReport:
     """Q(x) reassembled from gap classes up to d_cut.
 
     base is the zero-gap class, classes[i] encloses the exact class
-    d = i + 1 total, discarded brackets everything above d_cut, and
-    value is their interval sum.  discarded collapses to an exact 0
-    when the block pass saw no gap above the cut, so small x with a
-    generous cut reassemble Q(x) at full budget width.
+    d = i + 1 total, rest encloses the sum of every class above d_cut,
+    and value is their interval sum.  rest is an exact 0 when the block
+    pass saw no gap above the cut.
     """
 
     x: RationalScalar
     d_cut: int
     base: Enclosure
     classes: tuple[Enclosure, ...]
-    discarded: Enclosure
+    rest: Enclosure
     value: Enclosure
     op_count: int
 
     def __post_init__(self) -> None:
         if len(self.classes) != self.d_cut:
             raise ValueError("need one class enclosure per d <= d_cut")
-        if self.discarded.lo < 0:
-            raise ValueError("discarded classes are sums of squares")
+        if self.rest.lo < 0:
+            raise ValueError("the rest classes are sums of squares")
 
     @property
     def class_total(self) -> Enclosure:
@@ -76,61 +75,56 @@ class DecompositionReport:
 
 def decompose(x: RationalScalar, d_cut: int = 50,
               budget: PrecisionBudget = DEFAULT_BUDGET) -> DecompositionReport:
-    """Enclose Q(x) as base + classes 1..d_cut + discarded bracket.
+    """Enclose Q(x) as base + classes 1..d_cut + rest.
 
-    The budget is split three ways: the zero-gap closed form, the class
-    accumulators (scaled-integer grid, one rounding per block end), and
-    the square root in the discard bracket.  Work is one block pass
-    plus the zero-gap formula's own pass, both O(sqrt(x)).
+    The budget is split in thirds: one for the zero-gap closed form, one
+    for the grid that holds every block end (one rounding per end, each
+    class bin and the rest bin on the same scale).  The last third is
+    left unspent, so the width is at most 2/3 of the budget and every
+    base and class endpoint matches the earlier three-way split.  Work
+    is one block pass plus the zero-gap formula's own pass, both
+    O(sqrt(x)).
     """
     f = Fraction(x)
     if f <= 0:
         raise ValueError("x must be positive")
-    if d_cut < 2:
-        raise ValueError("the discard bracket needs d_cut >= 2")
+    if d_cut < 0:
+        raise ValueError("d_cut must be >= 0")
     part = budget.split(3)
     p, q = f.numerator, f.denominator
 
     # Class pass.  Block ends carry the only nonzero gaps, and the walk
-    # hands each one over with its term; ends with a gap above the cut
-    # stay out of the sums and only decide whether the discard is charged.
+    # hands each one over with its term, so slot 0 is free to collect
+    # the ends with a gap above the cut.
     end_bound = 2 * isqrt(p // q) + 4
-    bins = [ScaledSum(part.target_width, end_bound) for _ in range(d_cut)]
+    bins = [ScaledSum(part.target_width, end_bound) for _ in range(d_cut + 1)]
     scale = bins[0].scale
     units = [0] * (d_cut + 1)
     counts = [0] * (d_cut + 1)
-    over_cut = 0
     for _start, _end, gap_val, (num, den) in _blocks(f):
-        if gap_val > d_cut:
-            over_cut += 1
-            continue
-        units[gap_val] += num * scale // den
-        counts[gap_val] += 1
-    for d, acc in enumerate(bins, start=1):
-        acc.add_floors(units[d], counts[d])
-    classes = tuple(acc.enclosure() for acc in bins)
+        slot = gap_val if gap_val <= d_cut else 0
+        units[slot] += num * scale // den
+        counts[slot] += 1
+    for acc, total, count in zip(bins, units, counts):
+        acc.add_floors(total, count)
+    rest, *classes = (acc.enclosure() for acc in bins)
 
     base = q0_blocks(f, part)
-    ops = sum(counts) + over_cut + q0_block_cut(f)
-
-    if over_cut:
-        root = sqrt_enclosure(f / (d_cut - 1), part)
-        discarded = Enclosure(Fraction(0), root.hi)
-    else:
-        discarded = Enclosure.point(Fraction(0))
-
-    value = sum(classes, base + discarded)
-    return DecompositionReport(f, d_cut, base, classes, discarded, value, ops)
+    ops = sum(counts) + q0_block_cut(f)
+    value = sum(classes, base + rest)
+    return DecompositionReport(f, d_cut, base, tuple(classes), rest, value, ops)
 
 
-def decomposed_eval(x: RationalScalar, d_cut: int = 50,
+def decomposed_eval(x: RationalScalar,
                     budget: PrecisionBudget = DEFAULT_BUDGET) -> QValue:
     """Q(x) through the gap-class route, packaged like q_eval output.
 
-    The whole enclosure rides in the tail slot (head 0): no initial
-    segment of the series is summed term by term here.
+    The total does not depend on the class cut, so this is decompose
+    with no class bins.  The whole enclosure rides in the tail slot
+    (head 0): no initial segment of the series is summed term by term
+    here.
     """
-    report = decompose(x, d_cut, budget)
+    report = decompose(x, 0, budget)
     return QValue(x=report.x, value=report.value, head=Fraction(0),
                   tail=report.value, head_count=0)
 
@@ -147,7 +141,7 @@ class FastEstimate:
 
     value rigorously encloses the expression
     (2/15 + sum_{d <= d_cut} gap_coeff(d)) * sqrt(x) -- the expression,
-    not Q(x).  allowance is c1 d_cut^3 + c2 sqrt(x / d_cut) with fitted
+    not Q(x).  allowance is C1 d_cut^3 + C2 sqrt(x / d_cut) with fitted
     constants: the d^2-sized wobble each kept class leaves behind, plus
     the discarded classes.  Nothing certifies it, hence rigorous False.
     """
@@ -172,9 +166,7 @@ def default_fast_cut(x: RationalScalar) -> int:
 
 
 def fast_estimate(x: RationalScalar, d_cut: int | None = None,
-                  budget: PrecisionBudget = DEFAULT_BUDGET,
-                  c1: Fraction = FAST_C1,
-                  c2: Fraction = FAST_C2) -> FastEstimate:
+                  budget: PrecisionBudget = DEFAULT_BUDGET) -> FastEstimate:
     """Estimate Q(x) from the amplitude partial sum, O(d_cut) work.
 
     d_cut defaults to x^(1/7) rounded, which balances the two halves
@@ -194,7 +186,8 @@ def fast_estimate(x: RationalScalar, d_cut: int | None = None,
     amp = gap_coeff_sum(d_cut, PrecisionBudget(half.target_width / root_x))
     amp = amp.shift(Fraction(2, 15))
     value = amp * sqrt_enclosure(f, half)
-    allowance = c1 * d_cut**3 + c2 * (isqrt(f.numerator // (f.denominator * d_cut)) + 1)
+    allowance = (FAST_C1 * d_cut**3
+                 + FAST_C2 * (isqrt(f.numerator // (f.denominator * d_cut)) + 1))
     return FastEstimate(f, d_cut, value, allowance)
 
 
@@ -228,7 +221,7 @@ def error_term(x: RationalScalar, budget: PrecisionBudget = DEFAULT_BUDGET,
 
     evaluator picks the Q(x) route; "fast" substitutes the estimator
     expression (the record then inherits its non-rigorous status, which
-    the evaluator tag carries).  d_cut feeds the non-oracle routes.
+    the evaluator tag carries).  d_cut feeds the fast route only.
     """
     f = Fraction(x)
     if f < 2:
@@ -240,7 +233,7 @@ def error_term(x: RationalScalar, budget: PrecisionBudget = DEFAULT_BUDGET,
     if evaluator == "oracle":
         value = q_eval(f, half).value
     elif evaluator == "decomposed":
-        value = decomposed_eval(f, d_cut, half).value
+        value = decomposed_eval(f, half).value
     else:
         value = fast_estimate(f, d_cut, half).value
 

@@ -62,10 +62,6 @@ EXIT_CAP = 4
 
 DIGITS = 15
 
-# Smallest class cut each non-oracle evaluator accepts.
-MIN_D_CUT = {"decomposed": 2, "fast": 1}
-
-
 class UsageError(ValueError):
     """Bad argument values discovered after argparse."""
 
@@ -105,10 +101,8 @@ def _budget(args: argparse.Namespace) -> PrecisionBudget:
 
 
 def _check_d_max(evaluator: str, d_max: int | None) -> None:
-    low = MIN_D_CUT.get(evaluator)
-    if low is not None and d_max is not None and d_max < low:
-        raise UsageError(f"--d-max must be >= {low} for the {evaluator} "
-                         f"evaluator")
+    if evaluator == "fast" and d_max is not None and d_max < 1:
+        raise UsageError("--d-max must be >= 1 for the fast evaluator")
 
 
 def _json(payload: dict) -> str:
@@ -149,8 +143,7 @@ def cmd_eval(args: argparse.Namespace) -> tuple[int, str]:
     if args.evaluator == "oracle":
         value = q_eval(x, budget).value
     elif args.evaluator == "decomposed":
-        d_cut = 50 if args.d_max is None else args.d_max
-        value = decomposed_eval(x, d_cut, budget).value
+        value = decomposed_eval(x, budget).value
     else:
         est = fast_estimate(x, args.d_max, budget)
         value = est.value
@@ -192,7 +185,7 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
     if args.d_max < 0:
         raise UsageError("--d-max must be >= 0")
     budget = _budget(args)
-    report = decompose(x, max(2, args.d_max), budget)
+    report = decompose(x, args.d_max, budget)
 
     cum = report.base
     rows = [["0", *_enc_pair(report.base), *_enc_pair(cum), ""]]
@@ -201,9 +194,7 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
         cum = cum + enc
         bound = _up(sqrt_enclosure(x / (d - 1), budget).hi) if d >= 2 else ""
         rows.append([str(d), *_enc_pair(enc), *_enc_pair(cum), bound])
-    rest = report.discarded
-    for enc in report.classes[args.d_max:]:
-        rest = rest + enc
+    rest = report.rest
     cum = cum + rest
     rows.append(["rest", *_enc_pair(rest), *_enc_pair(cum), _up(rest.hi)])
 
@@ -597,8 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", help="evaluation point, 'p/q' or decimal")
     p.add_argument("--evaluator", choices=EVALUATORS, default="oracle")
     p.add_argument("--d-max", type=int, default=None,
-                   help="class cut for the non-oracle evaluators "
-                        "(decomposed: 50; fast: x^(1/7) rounded)")
+                   help="class cut for the fast evaluator "
+                        "(default x^(1/7) rounded)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
@@ -646,7 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-ratio", default="3.16227766017",
                    help="geometric step (default ~sqrt(10))")
     p.add_argument("--evaluator", choices=EVALUATORS, default="oracle")
-    p.add_argument("--d-max", type=int, default=50)
+    p.add_argument("--d-max", type=int, default=50,
+                   help="class cut for the fast evaluator (default 50)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--runtime-cap", type=float, default=None,
                    metavar="SECONDS")

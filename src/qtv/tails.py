@@ -76,6 +76,11 @@ def trigamma_tail(m: int, budget: PrecisionBudget) -> Enclosure:
     # Euler-Maclaurin slice: the bracket charges 2 margins, so
     # (1/15) cut^-9 <= width/4 leaves width/2 for the head slice.
     need = -(-4 * width.denominator // (15 * width.numerator))
+    # 2^floor(log2(need) / 9) <= need^(1/9) < cut: a head that long
+    # already breaks the scale cap, so refuse before the huge root.
+    floor_cut = 1 << ((need.bit_length() - 1) // 9)
+    if floor_cut > m:
+        scale_for(width / 2, units=floor_cut - m)
     cut = max(m, iroot(need, 9) + 1)
     core = (Fraction(1, cut) + Fraction(1, 2 * cut**2) + Fraction(1, 6 * cut**3)
             - Fraction(1, 30 * cut**5) + Fraction(1, 42 * cut**7))

@@ -225,27 +225,30 @@ def test_a9_decomposed_route_is_fast_and_scales(capsys):
     x_big = Fraction(10**9)
     budget = PrecisionBudget(Fraction(1, 10**9))
     started = time.perf_counter()
-    value = decomposed_eval(x_big, 50, budget).value
+    value = decomposed_eval(x_big, budget).value
     dt_big = time.perf_counter() - started
     assert dt_big < 5.0
-    width = value.width
-    cap = Fraction(1, 10**6)
-    assert width > cap and (width - cap) ** 2 <= x_big / 49
-    est = fast_estimate(x_big, d_cut=50, budget=budget)
-    assert value.contains(est.value.midpoint)
+    assert value.width <= budget.target_width
+    # Q(1e9) is known to the budget, so the fitted allowance of the fast
+    # estimate is checked against it at the default cut and at 50.
+    for d_cut in (None, 50):
+        est = fast_estimate(x_big, d_cut=d_cut, budget=budget)
+        mid = est.value.midpoint
+        assert max(mid - value.lo, value.hi - mid) <= est.allowance, d_cut
 
     ops = [decompose(Fraction(10**k), 50, budget).op_count for k in (7, 8, 9)]
     assert ops[1] <= 4 * ops[0] and ops[2] <= 4 * ops[1]
 
     started = time.perf_counter()
-    q_eval(Fraction(10**7), budget)
+    oracle = q_eval(Fraction(10**7), budget).value
     dt_oracle = time.perf_counter() - started
+    assert decomposed_eval(Fraction(10**7), budget).value.intersects(oracle)
     ok = dt_oracle < 60.0
     report(capsys, "A9", ok,
-           f"decomposed x = 1e9 in {dt_big:.2f}s (width within the discard "
-           f"bracket, contains the fast estimate), op growth "
+           f"decomposed x = 1e9 in {dt_big:.2f}s (width within the budget, "
+           f"fast estimate within its allowance), op growth "
            f"{ops[2] / ops[1]:.2f}x per decade, oracle x = 1e7 in "
-           f"{dt_oracle:.1f}s")
+           f"{dt_oracle:.1f}s (meets the decomposed route)")
 
 
 def test_a10_single_corruptions_are_always_caught(capsys):

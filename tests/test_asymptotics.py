@@ -10,7 +10,8 @@ from qtv.asymptotics import (EVALUATORS, DecompositionReport, FastEstimate,
                              fast_estimate, fit_exponent, geometric_grid,
                              scan)
 from qtv.interval import Enclosure, PrecisionBudget
-from qtv.oracle import QValue, gap, q0_direct, q_d_direct, q_eval
+from qtv.oracle import (QValue, gap, q0_direct, q_d_direct, q_eval,
+                        q_values_by_gap)
 
 BUDGET = PrecisionBudget(Fraction(1, 10**9))
 
@@ -19,7 +20,7 @@ def test_decomposition_reassembles_the_series():
     for x in (Fraction(997), Fraction(2500), Fraction(10**4) + Fraction(1, 3)):
         rep = decompose(x, d_cut=50, budget=BUDGET)
         assert rep.value.intersects(q_eval(x, BUDGET).value)
-        assert rep.value == rep.class_total + rep.discarded
+        assert rep.value == rep.class_total + rep.rest
         for i, enc in enumerate(rep.classes):
             assert enc.contains(q_d_direct(x, i + 1))
 
@@ -34,23 +35,30 @@ def test_generous_cut_discards_nothing():
     x = Fraction(300)
     cut = gap(x, 1) + 1
     rep = decompose(x, d_cut=cut, budget=BUDGET)
-    assert rep.discarded.lo == rep.discarded.hi == 0
+    assert rep.rest.lo == rep.rest.hi == 0
     assert rep.value.width <= BUDGET.target_width
 
 
-def test_tight_cut_pays_the_discard_bracket():
+def test_tight_cut_keeps_the_rest_tight():
     x = Fraction(10**4)
-    rep = decompose(x, d_cut=2, budget=BUDGET)
-    assert rep.discarded.lo == 0
-    assert rep.discarded.hi >= 99  # sqrt(x / (d_cut - 1)) = 100
-    assert rep.value.contains(q_eval(x, BUDGET).value.midpoint)
+    truth = q_eval(x, BUDGET).value
+    table = q_values_by_gap(x)
+    top = max(table)
+    reports = [decompose(x, d_cut=cut, budget=BUDGET)
+               for cut in (0, 1, 2, 5, top - 1, top)]
+    for rep in reports:
+        assert rep.value == reports[0].value
+        assert rep.value.width <= BUDGET.target_width
+        assert rep.value.intersects(truth)
+        assert rep.rest.contains(sum(v for d, v in table.items() if d > rep.d_cut))
+    assert reports[-1].rest == Enclosure.point(Fraction(0))
 
 
 def test_decompose_validates_arguments():
     with pytest.raises(ValueError):
         decompose(Fraction(0))
     with pytest.raises(ValueError):
-        decompose(Fraction(100), d_cut=1)
+        decompose(Fraction(100), d_cut=-1)
     with pytest.raises(ValueError):
         DecompositionReport(Fraction(4), 3, Enclosure.point(Fraction(0)),
                             (Enclosure.point(Fraction(0)),),
@@ -65,6 +73,17 @@ def test_decomposed_eval_packaging():
     assert out.head_count == 0
     assert out.value == out.tail
     assert out.value.intersects(q_eval(Fraction(997), BUDGET).value)
+
+
+@pytest.mark.parametrize("width", [Fraction(1, 10**9), Fraction(1, 10**12)],
+                         ids=["1e-9", "1e-12"])
+@pytest.mark.parametrize("x", [Fraction(10**5), Fraction(10**6),
+                               Fraction(12345678, 7)], ids=str)
+def test_decomposed_eval_meets_its_budget(x, width):
+    budget = PrecisionBudget(width)
+    value = decomposed_eval(x, budget).value
+    assert value.width <= width
+    assert value.intersects(q_eval(x, budget).value)
 
 
 def test_block_pass_scales_like_sqrt():

@@ -260,13 +260,10 @@ def test_module_entry_point():
 
 
 @pytest.mark.parametrize("argv", [
-    ("eval", "100", "--evaluator", "decomposed", "--d-max", "1"),
-    ("eval", "100", "--evaluator", "decomposed", "--d-max", "0"),
     ("eval", "100", "--evaluator", "fast", "--d-max", "0"),
     ("constants", "--cross-check-cut", "2"),
     ("scan", "--workers", "0"),
     ("scan", "--grid-min", "2", "--grid-max", "1"),
-    ("scan", "--evaluator", "decomposed", "--d-max", "1"),
     ("scan", "--grid-ratio", "abc"),
     ("fit", "--input", "missing.csv"),
     ("eval", "1", "--output", "/nonexistent/x.txt"),

@@ -11,7 +11,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtv.interval import PrecisionBudget
+import qtv.tails
+from qtv.interval import BudgetError, PrecisionBudget
+from qtv.oracle import q_eval
 from qtv.tails import g2, g2_tail, g2_tail_real, jump_weight, trigamma_tail
 
 
@@ -88,3 +90,14 @@ def test_real_argument_recurrence():
     drop = g2_tail_real(t, b) - g2_tail_real(t + 1, b)
     assert g2(m) == jump_weight(t) ** 2
     assert drop.contains(g2(m))
+
+
+def test_out_of_reach_tail_budget_is_refused_before_the_root(monkeypatch):
+    # The head this width needs breaks the scale cap however the ninth
+    # root comes out, so the refusal must come before the root is taken.
+    def no_root(n, k):
+        raise AssertionError("iroot called on an out-of-reach budget")
+
+    monkeypatch.setattr(qtv.tails, "iroot", no_root)
+    with pytest.raises(BudgetError):
+        q_eval(Fraction(37, 3), PrecisionBudget(Fraction(1, 10**100001)))
