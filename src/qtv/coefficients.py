@@ -39,8 +39,11 @@ m^{-(4J+1)}), and t^{-3/2} is completely monotone, so the remainder is
 within the first omitted Bernoulli term; the bracket charges twice
 that, (429/16384) m^{-17} at order J = 3.  The order rises from 3 until
 m <= max(64, J) (widths down to about 1e-32 keep J = 3), so tight
-widths cost thousands of head terms, not millions.  pi is Machin's
-formula on a scaled-integer grid, at the requested width or 1e-40.
+widths cost thousands of head terms, not millions; the search and the
+Bernoulli numbers are tails.em_order and tails.bernoulli, shared with
+the trigamma tail, and widths that need an order past tails.ORDER_CAP
+are refused.  pi is Machin's formula on a scaled-integer grid, at the
+requested width or 1e-40.
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum,
                        scale_for, sqrt_enclosure)
-from .rational import iroot, isqrt
+from .rational import isqrt
+from .tails import bernoulli, em_order
 
 DEFAULT_COEFFS = (96, 48, 16, 2, 48, 16, 2)
 
@@ -168,18 +172,10 @@ def gap_coeff_partial_sum(limit: int,
 
 
 @lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
-    """B_n from sum_{k<=n} C(n+1, k) B_k = 0 with B_0 = 1 (B_1 = -1/2)."""
-    if n == 0:
-        return Fraction(1)
-    return -sum(comb(n + 1, k) * _bernoulli(k) for k in range(n)) / (n + 1)
-
-
-@lru_cache(maxsize=None)
 def _em_coeff(j: int) -> Fraction:
     """B_2j / (2j)! times (3/2)(5/2)...((4j-1)/2): Euler-Maclaurin term j
     of n^{-3/2} at the cutoff m^2, in units of m^-(4j+1)."""
-    return (_bernoulli(2 * j) * prod(range(3, 4 * j, 2))
+    return (bernoulli(2 * j) * prod(range(3, 4 * j, 2))
             / (factorial(2 * j) * 2 ** (2 * j - 1)))
 
 
@@ -188,15 +184,9 @@ def zeta_3_2(budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
     w = budget.target_width
     scale_for(w / 2)  # past the scale cap, fail before any root
     # remainder 2 |c_{J+1}| m^-(4J+5) <= w/4, first J >= 3 with m <= max(64, J)
-    order = 3
-    while True:
-        bound = 2 * abs(_em_coeff(order + 1))
-        need = -(-4 * bound.numerator * w.denominator
-                 // (bound.denominator * w.numerator))
-        m = max(2, iroot(need, 4 * order + 5) + 1)
-        if m <= max(64, order):
-            break
-        order += 1
+    order, m = em_order(w, _em_coeff, 4)
+    m = max(2, m)
+    bound = 2 * abs(_em_coeff(order + 1))
     cut = m * m
     core = Fraction(2, m) + Fraction(1, 2 * m**3) + sum(
         _em_coeff(j) / m ** (4 * j + 1) for j in range(1, order + 1))

@@ -38,9 +38,12 @@ MAX_SCALE_DIGITS = 100_000
 def _decimal_digits(n: int) -> int:
     """Digit count of n >= 1 without int-to-str (which caps at 4300)."""
     d = max(1, n.bit_length() * 30103 // 100000)
-    while 10**d <= n:
+    power = 10**d
+    while power <= n:
+        power *= 10
         d += 1
-    while d > 1 and 10 ** (d - 1) > n:
+    while d > 1 and power // 10 > n:
+        power //= 10
         d -= 1
     return d
 
@@ -95,9 +98,10 @@ def scale_for(width: Fraction, units: int = 1) -> int:
     need = (units * width.denominator + width.numerator - 1) // width.numerator
     if need <= 1:
         return 1
-    if (need - 1).bit_length() > int(3.33 * MAX_SCALE_DIGITS):
+    # the bit length rules out the far side without counting digits
+    if ((need - 1).bit_length() > int(3.33 * MAX_SCALE_DIGITS)
+            or (digits := _decimal_digits(need - 1)) > MAX_SCALE_DIGITS):
         raise BudgetError(width, "scale cap exceeded")
-    digits = _decimal_digits(need - 1)
     return 10**digits
 
 

@@ -101,6 +101,14 @@ def test_budget_error_carries_request():
     assert "10^-" in str(info.value)
 
 
+def test_scale_cap_boundary_is_exact():
+    assert scale_for(Fraction(1, 10**100000)) == 10**100000
+    with pytest.raises(BudgetError):
+        scale_for(Fraction(1, 10**100001))
+    with pytest.raises(BudgetError):
+        scale_for(Fraction(1, 10**99999), units=11)
+
+
 def test_budget_split():
     b = PrecisionBudget(Fraction(1, 10))
     assert b.split(4).target_width == Fraction(1, 40)
