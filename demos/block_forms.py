@@ -10,7 +10,7 @@ budget = PrecisionBudget(Fraction(1, 10**10))
 x = Fraction(99991)  # prime, so no block boundary coincidences
 
 # class d lives between cut points K_{d-1} and K_{d+1}; the closed form
-# only ever visits O(d) quotients near sqrt(dx)
+# visits the quotients between them, about sqrt(x/d) of them near sqrt(dx)
 print("cut points at x = 99991:")
 for d in range(0, 6):
     k = cut_point(x, d)

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 from qtv.interval import PrecisionBudget
-from qtv.oracle import q_eval, term
+from qtv.oracle import q_eval, q_head, term
 
 x = Fraction(1)
 out = q_eval(x, PrecisionBudget(Fraction(1, 10**12)))
 print("Q(1) in [%s, %s]" % (float(out.value.lo), float(out.value.hi)))
-print("head (exact rational, %d terms): %s" % (out.head_count, out.head))
+print("head (grid floor sum, %d terms): %s" % (out.head_count, out.head))
 print("tail bracket width: %.3e" % float(out.tail.width))
 print()
 
@@ -32,7 +32,12 @@ print()
 x = Fraction(10**4) + Fraction(1, 3)
 out = q_eval(x)
 print("Q(10000 + 1/3) in [%.12f, %.12f]" % (out.value.lo, out.value.hi))
-# the exact denominator is too wide to print in full (it would trip the
-# interpreter's int-to-string limit); report its size instead
-digits = out.head.denominator.bit_length() * 30103 // 100000 + 1
-print("denominator of the exact head has about %d digits" % digits)
+# the head is a floor sum on a power-of-ten grid, so its denominator
+# stays short; the exact head's is too wide to print in full (it would
+# trip the interpreter's int-to-string limit), so report its size instead
+exact = q_head(x, out.head_count)
+digits = exact.denominator.bit_length() * 30103 // 100000 + 1
+print("head denominator %d; the exact head's has about %d digits"
+      % (out.head.denominator, digits))
+assert out.head <= exact <= out.head + out.tail.width
+print("grid head within the tail bracket of the exact head: ok")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum, log, sqrt
@@ -77,20 +76,17 @@ def decompose(x: RationalScalar, d_cut: int = 50,
               budget: PrecisionBudget = DEFAULT_BUDGET) -> DecompositionReport:
     """Enclose Q(x) as base + classes 1..d_cut + rest.
 
-    The budget is split in thirds: one for the zero-gap closed form, one
+    The budget is split in halves: one for the zero-gap closed form, one
     for the grid that holds every block end (one rounding per end, each
-    class bin and the rest bin on the same scale).  The last third is
-    left unspent, so the width is at most 2/3 of the budget and every
-    base and class endpoint matches the earlier three-way split.  Work
-    is one block pass plus the zero-gap formula's own pass, both
-    O(sqrt(x)).
+    class bin and the rest bin on the same scale).  Work is one block
+    pass plus the zero-gap formula's own pass, both O(sqrt(x)).
     """
     f = Fraction(x)
     if f <= 0:
         raise ValueError("x must be positive")
     if d_cut < 0:
         raise ValueError("d_cut must be >= 0")
-    part = budget.split(3)
+    part = budget.split(2)
     p, q = f.numerator, f.denominator
 
     # Class pass.  Block ends carry the only nonzero gaps, and the walk
@@ -274,12 +270,13 @@ def _scan_one(args: tuple[str, str, str, int]) -> tuple:
     """Worker entry: run one point and flatten the record to integers.
 
     The pack/unpack exists for Python 3.10, where Fraction pickles
-    through its decimal string and exact-path endpoints of tens of
-    thousands of digits trip the int-to-string digit limit.  Bare
-    integers pickle in binary, so the record crosses the process
-    boundary as numerator/denominator tuples and is reassembled
-    bit-identical.  From 3.11 Fraction pickles as its two integers, so
-    this can go once requires-python is >= 3.11.
+    through its decimal string and trips the 4300-digit int-to-string
+    limit.  At width 1e-9 no record endpoint has more than about 120
+    digits for x up to 1e6, but they grow with the budget: at 1e-1000
+    (x = 1e4) they reach about 5100.  Bare integers pickle in binary,
+    so the record crosses the process boundary as numerator/denominator
+    tuples and is reassembled bit-identical.  From 3.11 Fraction pickles
+    as its two integers, so this can go once requires-python is >= 3.11.
     """
     x_text, width_text, evaluator, d_cut = args
     budget = PrecisionBudget(Fraction(width_text))
@@ -306,7 +303,9 @@ def scan(grid: list[RationalScalar],
     workers > 1 fans points out to a process pool; results are
     collected by grid index, so the output order (and every number in
     it) is independent of scheduling.  time_cap stops the scan after
-    the point that crosses the cap and marks the result capped.
+    the point that crosses the cap and marks the result capped; a pool
+    still runs the points already queued to its workers (up to
+    workers + 1) before it closes, but drops their records.
     """
     points = [Fraction(x) for x in grid]
     if workers < 1:
@@ -332,19 +331,15 @@ def scan(grid: list[RationalScalar],
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_scan_one, arg) for arg in args]
         for index, future in enumerate(futures):
-            remaining = None
-            if time_cap is not None:
-                remaining = max(0.0, time_cap - (time.perf_counter() - started))
             try:
-                records.append(_unpack_record(future.result(timeout=remaining)))
-            except _FutureTimeout:
-                capped = True
-                for leftover in futures[index:]:
-                    leftover.cancel()
-                break
+                records.append(_unpack_record(future.result()))
             except Exception as exc:  # noqa: BLE001  recorded, not fatal
                 failures.append((index, points[index],
                                  f"{type(exc).__name__}: {exc}"))
+            if time_cap is not None and time.perf_counter() - started > time_cap:
+                capped = index + 1 < len(points)
+                pool.shutdown(cancel_futures=True)
+                break
     return ScanResult(tuple(records), tuple(failures), capped)
 
 

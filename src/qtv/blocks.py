@@ -13,9 +13,12 @@ d + 1 <= x/2, to five short sums over quotients k:
                  - sum_{K_{d-1} < k <= K_d} ) (d - x jump_weight(x/k))^2
 
 with summand(k) = d^2 floor(x/k) + 2dx/floor(x/k) - x^2 tail(x/k),
-tail(t) = sum_{n > t-1} 1/(n(n+1))^2.  All sums run over O(d) values
-of k near sqrt(dx), so the cost is independent of x; every piece is
-exact rational except the tail, which carries a certified bracket.
+tail(t) = sum_{n > t-1} 1/(n(n+1))^2.  The three summand sums run over
+O(d) values of k near sqrt(dx), but the two square sums run between
+consecutive cut points, about sqrt(x)(sqrt(d+1) - sqrt(d)) ~ sqrt(x/d)/2
+values of k each, so the cost is O(d + sqrt(x/d)) terms (70,734 at
+x = 1e11, d = 20); every piece is exact rational except the tail, which
+carries a certified bracket.
 Empty ranges (upper bound <= lower bound) contribute nothing, which
 silently handles d = 1 where the K_0 ranges vanish.
 

@@ -19,14 +19,13 @@ x/(floor(x)+1), so the head must cover n <= floor(x) and no further.
 Heads are walked block by block along the constancy blocks of
 floor(x/n) (below): the interior of a block has gap 0, so its terms are
 p^2/(q n(n+1))^2 summed straight over the index range, and the block end
-adds its one term with the block's gap.  Up to EXACT_HEAD_LIMIT terms
-the walk sums exact fractions.  Past that, exact arithmetic drowns in
-common denominators (the reduced denominator of the head grows like
-lcm(1..N)^2, which has on the order of 0.87 N digits), so the same walk
-adds floor(term * scale) instead, at a power-of-ten scale sized so the
-N dropped sub-unit remainders stay inside the width budget.  The
-reported head is then the floor sum, an exact certified lower bound,
-and the rounding slack rides along in the tail bracket.
+adds its one term with the block's gap.  q_eval adds floor(term * scale)
+at a power-of-ten scale sized so the N dropped sub-unit remainders stay
+inside half the width budget; the reported head is the floor sum, an
+exact certified lower bound, and the rounding slack rides along in the
+tail bracket.  q_head walks the same runs in exact fractions, whose
+reduced denominator grows like lcm(1..N)^2 (on the order of 0.87 N
+digits), so it serves as the exact reference for short heads only.
 
 Gap values partition the index set, which is what the rest of the
 package decomposes along: gap(n) = d >= 1 happens only at the final n
@@ -44,6 +43,7 @@ from .interval import DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum
 from .rational import RationalScalar
 from .tails import g2_tail
 
+# Head length up to which q_head's exact fractions stay affordable.
 EXACT_HEAD_LIMIT = 10_000
 
 
@@ -111,10 +111,10 @@ def _head_runs(x: Fraction, count: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 def q_head(x: RationalScalar, count: int) -> Fraction:
-    """Exact sum of the first `count` terms.
+    """Exact sum of the first `count` terms, the reference for q_eval's head.
 
     Costs exact-rational arithmetic on denominators up to
-    lcm(1..count)^2; intended for count <= EXACT_HEAD_LIMIT.
+    lcm(1..count)^2; practical for count <= EXACT_HEAD_LIMIT.
     """
     f = Fraction(x)
     if f <= 0:
@@ -162,12 +162,11 @@ def tail_enclosure(x: RationalScalar, start: int, budget: PrecisionBudget) -> En
 
 @dataclass(frozen=True)
 class QValue:
-    """Certified value of Q(x): exact head plus bracketed tail.
+    """Certified value of Q(x): grid head plus bracketed tail.
 
-    head is an exact rational lower bound for the first head_count
-    terms (exact value when the head was summed as fractions, floor-sum
-    otherwise); tail brackets everything past them, including any head
-    rounding slack, so value = head + tail endpointwise.
+    head is the floor-sum lower bound for the first head_count terms,
+    an exact rational; tail brackets everything past them, including
+    the head's rounding slack, so value = head + tail endpointwise.
     """
 
     x: Fraction
@@ -191,21 +190,17 @@ def q_eval(x: RationalScalar, budget: PrecisionBudget = DEFAULT_BUDGET) -> QValu
 
     Head covers n <= floor(x) (empty for x < 1), the minimal range
     containing every nonzero gap; the remainder is the certified
-    series tail.  Exact-fraction head up to EXACT_HEAD_LIMIT terms,
-    scaled integer head past that.
+    series tail.  Half the budget goes to the scaled integer head,
+    half to the tail.
     """
     f = Fraction(x)
     if f <= 0:
         raise ValueError("x must be positive")
     count = f.numerator // f.denominator
-    start = count + 1
-    if count <= EXACT_HEAD_LIMIT:
-        head, tail = q_head(f, count), tail_enclosure(f, start, budget)
-    else:
-        half = budget.split(2)
-        scaled = _head_scaled(f, count, half)
-        series = tail_enclosure(f, start, half)
-        head, tail = scaled.lo, Enclosure(series.lo, series.hi + scaled.width)
+    half = budget.split(2)
+    scaled = _head_scaled(f, count, half)
+    series = tail_enclosure(f, count + 1, half)
+    head, tail = scaled.lo, Enclosure(series.lo, series.hi + scaled.width)
     value = Enclosure(head + tail.lo, head + tail.hi)
     return QValue(f, value, head, tail, count)
 

@@ -184,6 +184,16 @@ def test_scan_time_cap_truncates():
         scan(grid, BUDGET, workers=0)
 
 
+def test_pool_scan_time_cap_stops_after_the_crossing_point():
+    # like the serial loop, the pool keeps the point that crosses the cap
+    grid = [Fraction(d) for d in (10, 20, 30, 40, 50)]
+    serial = scan(grid, BUDGET, time_cap=0.0)
+    pooled = scan(grid, BUDGET, workers=2, time_cap=0.0)
+    assert pooled.capped
+    assert len(pooled.records) == 1
+    assert pooled.records == serial.records
+
+
 def synthetic_record(x, err):
     point = Enclosure.point(Fraction(err))
     return ScanRecord(Fraction(x), point, Enclosure.point(Fraction(0)),

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtv.interval import Enclosure, PrecisionBudget, scale_for
-from qtv.oracle import (EXACT_HEAD_LIMIT, QValue, _head_scaled, frac_part,
-                        gap, gap_class, q0_direct, q_d_direct, q_eval,
-                        q_head, q_values_by_gap, term)
+from qtv.oracle import (QValue, _head_scaled, frac_part, gap, gap_class,
+                        q0_direct, q_d_direct, q_eval, q_head,
+                        q_values_by_gap, term)
 
 REFERENCE_Q1 = Fraction("0.289868133696452872944830333292")
 
@@ -46,7 +46,8 @@ def test_head_matches_term_by_term():
 
 def test_scaled_head_units_are_term_floors():
     budget = PrecisionBudget(Fraction(1, 10**9))
-    for x in (Fraction(10001), Fraction(70001, 7)):
+    for x in (Fraction(47), Fraction(12345, 7), Fraction(10001),
+              Fraction(70001, 7)):
         count = x.numerator // x.denominator
         scale = scale_for(budget.target_width, units=count)
         units = sum(t.numerator * scale // t.denominator
@@ -102,16 +103,15 @@ def test_qvalue_rejects_mismatched_parts():
                Fraction(1), Enclosure(Fraction(1), Fraction(2)), 1)
 
 
-def test_exact_and_scaled_paths_agree():
-    # straddle the exact-head cutoff with the same tolerance
-    b = PrecisionBudget(Fraction(1, 10**10))
-    x_small = Fraction(EXACT_HEAD_LIMIT - 1)
-    x_large = Fraction(EXACT_HEAD_LIMIT + 1)
-    for x in (x_small, x_large):
-        twice = [q_eval(x, b).value for _ in range(2)]
-        assert twice[0] == twice[1]
-    # heads on the exact path are bit-identical across runs
-    assert q_eval(x_small, b).head == q_eval(x_small, b).head
+def test_q_eval_head_brackets_the_exact_head():
+    # the grid head is a floor sum: the exact head lies above it by at
+    # most the slack the tail bracket carries
+    for x in (Fraction(1), Fraction(47), Fraction(12345, 7), Fraction(9999)):
+        exact = q_head(x, x.numerator // x.denominator)
+        for width in (Fraction(1, 10**9), Fraction(1, 10**40)):
+            qv = q_eval(x, PrecisionBudget(width))
+            assert qv.head <= exact <= qv.head + qv.tail.width, (x, width)
+            assert qv.value.width <= width, (x, width)
 
 
 def test_frac_part():

@@ -21,6 +21,8 @@ PRODUCERS = {
     "q_eval(1)": lambda b: q_eval(Fraction(1), b).value,
     "q_eval(37/3)": lambda b: q_eval(Fraction(37, 3), b).value,
     "q_eval(50)": lambda b: q_eval(Fraction(50), b).value,
+    "q_eval(9999)": lambda b: q_eval(Fraction(9999), b).value,
+    "q_eval(10001)": lambda b: q_eval(Fraction(10001), b).value,
     "g2_tail(1)": lambda b: g2_tail(1, b),
     "g2_tail(70)": lambda b: g2_tail(70, b),
     "trigamma_tail(1)": lambda b: trigamma_tail(1, b),
