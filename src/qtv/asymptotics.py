@@ -10,11 +10,15 @@ The decomposition evaluator re-sums the series by gap class.  Every
 term with a nonzero gap sits at a block end of floor(x/n), so one pass
 over the about 2 sqrt(x) blocks (never x terms) puts each end term on
 one scaled-integer grid: into the bin of its class d <= d_cut, or into
-a single rest bin for the classes above the cut.  The zero-gap class
-comes from its own closed form.  The rest is therefore enclosed as
-tightly as any class bin, and the total does not depend on d_cut.
-op_count reports the pass length so scaling tests can watch the growth
-rate.
+a single rest bin for the classes above the cut.  The pass splits at
+K = q0_block_cut(x).  Below N1 = floor(x/(K+1)) it walks the indices,
+each its own block end; above it walks the quotients v = K..1, whose
+block ends floor(x/v) all have gap 1.  Those are the same K ends the
+zero-gap closed form subtracts, so the quotient phase floors their g2
+terms too and the zero-gap class needs no pass of its own.  The rest
+is enclosed as tightly as any class bin, and the total does not depend
+on d_cut.  op_count reports the pass length (block ends plus the K g2
+floors) so scaling tests can watch the growth rate.
 
 The fast estimator is the one uncertified number in this module.  It
 evaluates (2/15 + sum_{d <= D} gap_coeff(d)) * sqrt(x) through the
@@ -33,11 +37,11 @@ from fractions import Fraction
 from math import fsum, log, sqrt
 from statistics import StatisticsError, linear_regression
 
-from .blocks import q0_block_cut, q0_blocks
+from .blocks import q0_block_cut, q0_end_grid, q0_from_ends
 from .coefficients import gap_coeff_sum, main_constant
 from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum,
                        pow_enclosure, sqrt_enclosure)
-from .oracle import QValue, _blocks, q_eval
+from .oracle import QValue, q_eval
 from .rational import RationalScalar, iroot, isqrt
 
 EVALUATORS = ("oracle", "decomposed", "fast")
@@ -78,8 +82,10 @@ def decompose(x: RationalScalar, d_cut: int = 50,
 
     The budget is split in halves: one for the zero-gap closed form, one
     for the grid that holds every block end (one rounding per end, each
-    class bin and the rest bin on the same scale).  Work is one block
-    pass plus the zero-gap formula's own pass, both O(sqrt(x)).
+    class bin and the rest bin on the same scale).  Work is one O(sqrt(x))
+    block pass in two phases, an index walk for n <= floor(x/(K+1)) and
+    a quotient walk for v = K..1 with K = q0_block_cut(x); the quotient
+    walk also floors the g2 terms the zero-gap formula subtracts.
     """
     f = Fraction(x)
     if f <= 0:
@@ -88,25 +94,55 @@ def decompose(x: RationalScalar, d_cut: int = 50,
         raise ValueError("d_cut must be >= 0")
     part = budget.split(2)
     p, q = f.numerator, f.denominator
+    cut = q0_block_cut(f)
+    n1 = p // (q * (cut + 1))
 
-    # Class pass.  Block ends carry the only nonzero gaps, and the walk
-    # hands each one over with its term, so slot 0 is free to collect
-    # the ends with a gap above the cut.
+    # Every block end has a nonzero gap and puts its term on one grid:
+    # slot d <= d_cut takes class d, slot 0 the gaps above the cut.
     end_bound = 2 * isqrt(p // q) + 4
     bins = [ScaledSum(part.target_width, end_bound) for _ in range(d_cut + 1)]
     scale = bins[0].scale
     units = [0] * (d_cut + 1)
     counts = [0] * (d_cut + 1)
-    for _start, _end, gap_val, (num, den) in _blocks(f):
-        slot = gap_val if gap_val <= d_cut else 0
-        units[slot] += num * scale // den
+
+    # Index phase, n = 1..n1: the quotient floor(x/n) exceeds cut, and
+    # such a block holds at most one index, so n ends its own block and
+    # its gap g is the drop to the next quotient.  The term is
+    # (g m - p)^2/m^2 with m = q n (n+1).
+    v = p // q
+    for n in range(1, n1 + 1):
+        q_next = q * (n + 1)
+        nxt = p // q_next
+        g = v - nxt
+        m = q_next * n
+        e = g * m - p
+        slot = g if g <= d_cut else 0
+        units[slot] += e * e * scale // (m * m)
         counts[slot] += 1
+        v = nxt
+
+    # Quotient phase, v = cut..1: the block ends at n = floor(x/v) with
+    # n(n+1) > x, so its gap is 1, and the same m^2 also gives the g2
+    # floor that Q_0 subtracts.
+    ends = q0_end_grid(cut, part)
+    pps = p * p * ends.scale
+    ones = g2 = 0
+    for v in range(cut, 0, -1):
+        n = p // (q * v)
+        m = q * n * (n + 1)
+        mm = m * m
+        e = m - p
+        ones += e * e * scale // mm
+        g2 += pps // mm
+    slot = 1 if d_cut else 0
+    units[slot] += ones
+    counts[slot] += cut
+
     for acc, total, count in zip(bins, units, counts):
         acc.add_floors(total, count)
     rest, *classes = (acc.enclosure() for acc in bins)
-
-    base = q0_blocks(f, part)
-    ops = sum(counts) + q0_block_cut(f)
+    base = q0_from_ends(f, cut, part, ends, g2)
+    ops = sum(counts) + cut
     value = sum(classes, base + rest)
     return DecompositionReport(f, d_cut, base, tuple(classes), rest, value, ops)
 
@@ -303,9 +339,10 @@ def scan(grid: list[RationalScalar],
     workers > 1 fans points out to a process pool; results are
     collected by grid index, so the output order (and every number in
     it) is independent of scheduling.  time_cap stops the scan after
-    the point that crosses the cap and marks the result capped; a pool
-    still runs the points already queued to its workers (up to
-    workers + 1) before it closes, but drops their records.
+    the point that crosses the cap and marks the result capped.  A pool
+    keeps at most `workers` points in flight, submitting the next one
+    as it collects one, so past the cap it finishes at most
+    workers - 1 points before it closes, and drops their records.
     """
     points = [Fraction(x) for x in grid]
     if workers < 1:
@@ -329,17 +366,20 @@ def scan(grid: list[RationalScalar],
     width_text = str(budget.target_width)
     args = [(str(point), width_text, evaluator, d_cut) for point in points]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_scan_one, arg) for arg in args]
-        for index, future in enumerate(futures):
+        # at most `workers` points in flight: the pool hands queued points
+        # to its workers ahead of time, where a cap can no longer stop them
+        futures = [pool.submit(_scan_one, arg) for arg in args[:workers]]
+        for index in range(len(args)):
             try:
-                records.append(_unpack_record(future.result()))
+                records.append(_unpack_record(futures[index].result()))
             except Exception as exc:  # noqa: BLE001  recorded, not fatal
                 failures.append((index, points[index],
                                  f"{type(exc).__name__}: {exc}"))
             if time_cap is not None and time.perf_counter() - started > time_cap:
                 capped = index + 1 < len(points)
-                pool.shutdown(cancel_futures=True)
                 break
+            if index + workers < len(args):
+                futures.append(pool.submit(_scan_one, args[index + workers]))
     return ScanResult(tuple(records), tuple(failures), capped)
 
 

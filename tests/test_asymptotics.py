@@ -1,16 +1,20 @@
 """Decomposition evaluator, fast estimator, and the scan/fit pipeline."""
 
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtv.asymptotics import (EVALUATORS, DecompositionReport, FastEstimate,
                              FitError, ScanRecord, ScanResult, decompose,
                              decomposed_eval, default_fast_cut, error_term,
                              fast_estimate, fit_exponent, geometric_grid,
                              scan)
-from qtv.interval import Enclosure, PrecisionBudget
-from qtv.oracle import (QValue, gap, q0_direct, q_d_direct, q_eval,
+from qtv.blocks import q0_block_cut, q0_blocks
+from qtv.interval import Enclosure, PrecisionBudget, ScaledSum
+from qtv.oracle import (QValue, _blocks, gap, q0_direct, q_d_direct, q_eval,
                         q_values_by_gap)
 
 BUDGET = PrecisionBudget(Fraction(1, 10**9))
@@ -23,6 +27,31 @@ def test_decomposition_reassembles_the_series():
         assert rep.value == rep.class_total + rep.rest
         for i, enc in enumerate(rep.classes):
             assert enc.contains(q_d_direct(x, i + 1))
+
+
+@given(st.integers(1, 10**7), st.integers(1, 50), st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_decompose_matches_the_reference_walk(p, q, d_cut):
+    # the same bins rebuilt from oracle._blocks on the same grid
+    x = Fraction(p, q)
+    rep = decompose(x, d_cut, BUDGET)
+    part = BUDGET.split(2)
+    bins = [ScaledSum(part.target_width, 2 * isqrt(p // q) + 4)
+            for _ in range(d_cut + 1)]
+    units = [0] * (d_cut + 1)
+    counts = [0] * (d_cut + 1)
+    for _, _, g, (num, den) in _blocks(x):
+        slot = g if g <= d_cut else 0
+        units[slot] += num * bins[0].scale // den
+        counts[slot] += 1
+    for acc, total, count in zip(bins, units, counts):
+        acc.add_floors(total, count)
+    rest, *classes = (acc.enclosure() for acc in bins)
+    assert rep.rest == rest
+    assert rep.classes == tuple(classes)
+    assert rep.base == q0_blocks(x, part)
+    assert rep.op_count == sum(counts) + q0_block_cut(x)
+    assert rep.value == sum(classes, rep.base + rest)
 
 
 def test_base_class_matches_reference_subtraction():
@@ -192,6 +221,22 @@ def test_pool_scan_time_cap_stops_after_the_crossing_point():
     assert pooled.capped
     assert len(pooled.records) == 1
     assert pooled.records == serial.records
+
+
+def test_pool_scan_keeps_at_most_workers_points_in_flight(monkeypatch):
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def counting(self, fn, *args, **kwargs):
+        submitted.append(args)
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
+    grid = [Fraction(d) for d in (10, 20, 30, 40, 50, 60)]
+    out = scan(grid, BUDGET, workers=2, time_cap=0.0)
+    assert out.capped
+    assert len(out.records) == 1
+    assert len(submitted) <= 2
 
 
 def synthetic_record(x, err):

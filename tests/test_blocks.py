@@ -12,7 +12,7 @@ from qtv.blocks import (RESIDUAL_NAMES, block_summand, cut_point,
                         sum_k3_range, sum_k4_range, sum_k_range)
 from qtv.coefficients import sqrt_sum, zeta_3_2
 from qtv.interval import PrecisionBudget
-from qtv.oracle import q0_direct, q_d_direct
+from qtv.oracle import _blocks, q0_direct, q_d_direct
 
 
 def brute_cut(x, d):
@@ -42,6 +42,36 @@ def test_zero_gap_cut_definition(x):
     k = q0_block_cut(x)
     assert k * (k + 1) <= x
     assert (k + 1) * (k + 2) > x
+
+
+def _block_split_panel():
+    xs = [Fraction(1, 3), Fraction(6, 7), Fraction(1), Fraction(3, 2)]
+    for k in (1, 2, 3, 7, 30):
+        xs += [Fraction(k * (k + 1)), k * (k + 1) - Fraction(1, 7)]
+    xs += [Fraction(n) for n in range(2, 41)]
+    xs += [Fraction(a, b) for b in range(2, 8) for a in range(b + 1, 12 * b, 5)]
+    return xs
+
+
+def test_zero_gap_cut_splits_the_blocks():
+    # the facts the module docstring states and decompose's two phases use
+    for x in _block_split_panel():
+        p, q = x.numerator, x.denominator
+        cut = q0_block_cut(x)
+        n1 = p // (q * (cut + 1))
+        blocks = {p // (q * start): (start, end, g)
+                  for start, end, g, _ in _blocks(x)}
+        for v in range(1, p // q + 2):
+            assert (v <= cut) == (x / (v * (v + 1)) >= 1), (x, v)
+        for v in range(1, cut + 1):
+            start, end, g = blocks[v]
+            assert (end, g) == (p // (q * v), 1), (x, v)
+            assert start > n1
+        assert len({p // (q * v) for v in range(1, cut + 1)}) == cut
+        singles = sorted(end for v, (start, end, _) in blocks.items()
+                         if v > cut and start == end)
+        assert singles == list(range(1, n1 + 1)), x
+        assert len(blocks) == n1 + cut, x
 
 
 @given(st.integers(0, 500), st.integers(0, 500))
@@ -191,6 +221,64 @@ PINNED_CLASS_UNITS = [
 ]
 
 
+# decompose endpoints at x = 997, 4e6 and 31415926535/7: base and value
+# (the same for every d_cut), then rest and classes 1..d_cut in grid units
+# of 10**-digits for d_cut 0 and 8.
+PINNED_DECOMPOSE = {
+    Fraction(997): (
+        ("23951441973870509347223517874437121/6127183579362433875000000000000000",
+         "23951441974951153558104984477639077/6127183579362433875000000000000000"),
+        ("142056045510551731396236910119687121/6127183579362433875000000000000000",
+         "142056045512012260989038847623139077/6127183579362433875000000000000000"),
+        12,
+        {0: [(19275512477622, 19275512477684)],
+         8: [(502284973520, 502284973530), (16799423200872, 16799423200909),
+             (653758358035, 653758358041), (215455535130, 215455535133),
+             (135696967512, 135696967514), (292201156596, 292201156598),
+             (0, 0), (676692285957, 676692285959), (0, 0)]}),
+    Fraction(4 * 10**6): (
+        ("7187475370116984535042998240876224298075325841/"
+         "27001202202451785875287560945052500000000000",
+         "28749901480489528302349073411490777126032967343/"
+         "108004808809807143501150243780210000000000000"),
+        ("179260780336375764484886582487140938767834173297/"
+         "108004808809807143501150243780210000000000000",
+         "35852156067288109154021340962362585736810708651/"
+         "21600961761961428700230048756042000000000000"),
+        13,
+        {0: [(13935571991146473, 13935571991150472)],
+         8: [(1137992200698182, 1137992200698868),
+             (11090334719905464, 11090334719907808),
+             (716421838705207, 716421838705591),
+             (349196244850737, 349196244850937),
+             (213745277668596, 213745277668724),
+             (153564497375915, 153564497376006),
+             (109581048376269, 109581048376336),
+             (98326485263550, 98326485263606),
+             (66409678302553, 66409678302596)]}),
+    Fraction(31415926535, 7): (
+        ("509881188676733319673672669350998326691108035266480006746235179/"
+         "57080021924306371000492016267362016441563725300000000000000",
+         "5098811886767371435214214005703775685380842833293234435417567513/"
+         "570800219243063710004920162673620164415637253000000000000000"),
+        ("1590339433370319428410260950822167257630072376594383875697693577/"
+         "28540010962153185500246008133681008220781862650000000000000",
+         "15903394333703251642104240586021097580144682756083300391117577981/"
+         "285400109621531855002460081336810082207818626500000000000000"),
+        15,
+        {0: [(46790410865742860750, 46790410865742994733)],
+         8: [(3850076848504888732, 3850076848504911719),
+             (37152227465856002581, 37152227465856081066),
+             (2424509240064064201, 2424509240064077115),
+             (1171664138018105409, 1171664138018112093),
+             (732114323033968946, 732114323033973217),
+             (515250031606404561, 515250031606407596),
+             (388075260261952754, 388075260261955053),
+             (306352744734639105, 306352744734640925),
+             (250140813662834461, 250140813662835949)]}),
+}
+
+
 def test_grid_sums_are_pinned():
     report = decompose(Fraction(10**7), 20)
     got = {
@@ -207,3 +295,12 @@ def test_grid_sums_are_pinned():
         assert (got[name].lo, got[name].hi) == (Fraction(lo), Fraction(hi)), name
     units = [(c.lo * 10**14, c.hi * 10**14) for c in report.classes]
     assert units == PINNED_CLASS_UNITS
+    for x, (base, value, digits, by_cut) in PINNED_DECOMPOSE.items():
+        for d_cut, pinned in by_cut.items():
+            report = decompose(x, d_cut)
+            for name, (lo, hi) in (("base", base), ("value", value)):
+                got = getattr(report, name)
+                assert (got.lo, got.hi) == (Fraction(lo), Fraction(hi)), (x, d_cut, name)
+            units = [(c.lo * 10**digits, c.hi * 10**digits)
+                     for c in (report.rest, *report.classes)]
+            assert units == pinned, (x, d_cut)
