@@ -13,12 +13,11 @@ one scaled-integer grid: into the bin of its class d <= d_cut, or into
 a single rest bin for the classes above the cut.  The pass splits at
 K = q0_block_cut(x).  Below N1 = floor(x/(K+1)) it walks the indices,
 each its own block end; above it walks the quotients v = K..1, whose
-block ends floor(x/v) all have gap 1.  Those are the same K ends the
-zero-gap closed form subtracts, so the quotient phase floors their g2
-terms too and the zero-gap class needs no pass of its own.  The rest
-is enclosed as tightly as any class bin, and the total does not depend
-on d_cut.  op_count reports the pass length (block ends plus the K g2
-floors) so scaling tests can watch the growth rate.
+block ends floor(x/v) all have gap 1.  The zero-gap class comes from
+its own closed form.  The rest is enclosed as tightly as any class
+bin, and the total does not depend on d_cut.  op_count reports the
+pass length plus the closed form's K terms so scaling tests can watch
+the growth rate.
 
 The fast estimator is the one uncertified number in this module.  It
 evaluates (2/15 + sum_{d <= D} gap_coeff(d)) * sqrt(x) through the
@@ -31,13 +30,14 @@ what the dev-time panels showed, nothing more.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import fsum, log, sqrt
 from statistics import StatisticsError, linear_regression
 
-from .blocks import q0_block_cut, q0_end_grid, q0_from_ends
+from .blocks import q0_block_cut, q0_blocks
 from .coefficients import gap_coeff_sum, main_constant
 from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum,
                        pow_enclosure, sqrt_enclosure)
@@ -84,8 +84,8 @@ def decompose(x: RationalScalar, d_cut: int = 50,
     for the grid that holds every block end (one rounding per end, each
     class bin and the rest bin on the same scale).  Work is one O(sqrt(x))
     block pass in two phases, an index walk for n <= floor(x/(K+1)) and
-    a quotient walk for v = K..1 with K = q0_block_cut(x); the quotient
-    walk also floors the g2 terms the zero-gap formula subtracts.
+    a quotient walk for v = K..1 with K = q0_block_cut(x), plus the
+    zero-gap formula's own pass over the same K quotients.
     """
     f = Fraction(x)
     if f <= 0:
@@ -122,18 +122,13 @@ def decompose(x: RationalScalar, d_cut: int = 50,
         v = nxt
 
     # Quotient phase, v = cut..1: the block ends at n = floor(x/v) with
-    # n(n+1) > x, so its gap is 1, and the same m^2 also gives the g2
-    # floor that Q_0 subtracts.
-    ends = q0_end_grid(cut, part)
-    pps = p * p * ends.scale
-    ones = g2 = 0
+    # n(n+1) > x, so its gap is 1 and its term is (m - p)^2/m^2.
+    ones = 0
     for v in range(cut, 0, -1):
         n = p // (q * v)
         m = q * n * (n + 1)
-        mm = m * m
         e = m - p
-        ones += e * e * scale // mm
-        g2 += pps // mm
+        ones += e * e * scale // (m * m)
     slot = 1 if d_cut else 0
     units[slot] += ones
     counts[slot] += cut
@@ -141,7 +136,7 @@ def decompose(x: RationalScalar, d_cut: int = 50,
     for acc, total, count in zip(bins, units, counts):
         acc.add_floors(total, count)
     rest, *classes = (acc.enclosure() for acc in bins)
-    base = q0_from_ends(f, cut, part, ends, g2)
+    base = q0_blocks(f, part)
     ops = sum(counts) + cut
     value = sum(classes, base + rest)
     return DecompositionReport(f, d_cut, base, tuple(classes), rest, value, ops)
@@ -341,8 +336,9 @@ def scan(grid: list[RationalScalar],
     it) is independent of scheduling.  time_cap stops the scan after
     the point that crosses the cap and marks the result capped.  A pool
     keeps at most `workers` points in flight, submitting the next one
-    as it collects one, so past the cap it finishes at most
-    workers - 1 points before it closes, and drops their records.
+    whenever any point finishes and none once the cap has passed, so
+    past the cap it finishes at most workers - 1 points before it
+    closes, and drops their records.
     """
     points = [Fraction(x) for x in grid]
     if workers < 1:
@@ -366,20 +362,27 @@ def scan(grid: list[RationalScalar],
     width_text = str(budget.target_width)
     args = [(str(point), width_text, evaluator, d_cut) for point in points]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        # at most `workers` points in flight: the pool hands queued points
-        # to its workers ahead of time, where a cap can no longer stop them
-        futures = [pool.submit(_scan_one, arg) for arg in args[:workers]]
-        for index in range(len(args)):
+        # At most `workers` points in flight, refilled as any one finishes
+        # (the pool hands queued points to its workers ahead of time, where
+        # a cap can no longer stop them), and none once the cap has passed.
+        ahead = iter(enumerate(args))
+        running = {pool.submit(_scan_one, arg): i for i, arg in islice(ahead, workers)}
+        finished = {}
+        for index, point in enumerate(points):
+            while index not in finished:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    finished[running.pop(future)] = future
+                    if time_cap is None or time.perf_counter() - started <= time_cap:
+                        for i, arg in islice(ahead, 1):
+                            running[pool.submit(_scan_one, arg)] = i
             try:
-                records.append(_unpack_record(futures[index].result()))
+                records.append(_unpack_record(finished.pop(index).result()))
             except Exception as exc:  # noqa: BLE001  recorded, not fatal
-                failures.append((index, points[index],
-                                 f"{type(exc).__name__}: {exc}"))
+                failures.append((index, point, f"{type(exc).__name__}: {exc}"))
             if time_cap is not None and time.perf_counter() - started > time_cap:
                 capped = index + 1 < len(points)
                 break
-            if index + workers < len(args):
-                futures.append(pool.submit(_scan_one, args[index + workers]))
     return ScanResult(tuple(records), tuple(failures), capped)
 
 

@@ -39,8 +39,6 @@ ends, so
                    - sum_{v=1}^{K} g2(floor(x/v)) ),
 
 one tail evaluation and K exact terms, again O(sqrt(x)) total.
-q0_from_ends assembles it from the K floors; q0_blocks sweeps them
-itself, decompose floors them in its quotient phase.
 
 residual_report packages the difference between each of these sums
 and its leading asymptotic term, normalized by the expected error
@@ -215,30 +213,6 @@ def qd_blocks(x: RationalScalar, d: int,
     return QdBlockReport(f, d, value, (km, k0, kp), direct)
 
 
-def q0_end_grid(cut: int, budget: PrecisionBudget) -> ScaledSum:
-    """The grid q0_from_ends takes the block-end g2 floors on: half the
-    budget over the `cut` floors."""
-    return ScaledSum(budget.target_width / 2, cut)
-
-
-def q0_from_ends(x: Fraction, cut: int, budget: PrecisionBudget,
-                 ends: ScaledSum, units: int) -> Enclosure:
-    """Q_0(x) = x^2 (g2 tail past floor(x/(cut+1)) - block-end g2 terms).
-
-    cut is q0_block_cut(x); ends comes from q0_end_grid(cut, budget), and
-    units is the sum over v = 1..cut of floor(ends.scale p^2 / m^2) with
-    m = q n (n+1), n = floor(x/v), for x = p/q.  The other half of the
-    budget goes to the tail.
-    """
-    p, q = x.numerator, x.denominator
-    xx = x * x
-    top = p // (q * (cut + 1)) + 1
-    whole = g2_tail(top, PrecisionBudget(budget.target_width / 2 / xx))
-    ends.add_floors(units, cut, -1)
-    sub = ends.enclosure()
-    return Enclosure(max(Fraction(0), xx * whole.lo + sub.lo), xx * whole.hi + sub.hi)
-
-
 def q0_blocks(x: RationalScalar,
               budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
     """Certified enclosure of Q_0(x) in O(sqrt x) operations."""
@@ -247,13 +221,20 @@ def q0_blocks(x: RationalScalar,
         raise ValueError("x must be positive")
     p, q = f.numerator, f.denominator
     cut = q0_block_cut(f)
-    ends = q0_end_grid(cut, budget)
+    xx = f * f
+    half = budget.target_width / 2
+    top = p // (q * (cut + 1)) + 1
+    whole = g2_tail(top, PrecisionBudget(half / xx))
+    # subtract the block ends floor(x/v), v = 1..cut, as grid floors
+    ends = ScaledSum(half, cut)
     pps, qq = p * p * ends.scale, q * q
     units = 0
     for v in range(1, cut + 1):
         m = p // (q * v)
         units += pps // (qq * (m * (m + 1)) ** 2)
-    return q0_from_ends(f, cut, budget, ends, units)
+    ends.add_floors(units, cut, -1)
+    sub = ends.enclosure()
+    return Enclosure(max(Fraction(0), xx * whole.lo + sub.lo), xx * whole.hi + sub.hi)
 
 
 @dataclass(frozen=True)

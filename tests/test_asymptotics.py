@@ -213,17 +213,9 @@ def test_scan_time_cap_truncates():
         scan(grid, BUDGET, workers=0)
 
 
-def test_pool_scan_time_cap_stops_after_the_crossing_point():
-    # like the serial loop, the pool keeps the point that crosses the cap
-    grid = [Fraction(d) for d in (10, 20, 30, 40, 50)]
-    serial = scan(grid, BUDGET, time_cap=0.0)
-    pooled = scan(grid, BUDGET, workers=2, time_cap=0.0)
-    assert pooled.capped
-    assert len(pooled.records) == 1
-    assert pooled.records == serial.records
-
-
-def test_pool_scan_keeps_at_most_workers_points_in_flight(monkeypatch):
+def test_pool_scan_time_cap_stops_after_the_crossing_point(monkeypatch):
+    # like the serial loop, the pool keeps the point that crosses the cap,
+    # and it holds at most `workers` points in flight, none past the cap
     submitted = []
     submit = ProcessPoolExecutor.submit
 
@@ -233,9 +225,11 @@ def test_pool_scan_keeps_at_most_workers_points_in_flight(monkeypatch):
 
     monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
     grid = [Fraction(d) for d in (10, 20, 30, 40, 50, 60)]
-    out = scan(grid, BUDGET, workers=2, time_cap=0.0)
-    assert out.capped
-    assert len(out.records) == 1
+    serial = scan(grid, BUDGET, time_cap=0.0)
+    pooled = scan(grid, BUDGET, workers=2, time_cap=0.0)
+    assert pooled.capped
+    assert len(pooled.records) == 1
+    assert pooled.records == serial.records
     assert len(submitted) <= 2
 
 
