@@ -30,9 +30,12 @@ what the dev-time panels showed, nothing more.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Iterator
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from math import fsum, log, sqrt
 from statistics import StatisticsError, linear_regression
@@ -287,42 +290,27 @@ class ScanResult:
     capped: bool = False
 
 
-def _pack_enclosure(enc: Enclosure) -> tuple[int, int, int, int]:
-    return (enc.lo.numerator, enc.lo.denominator,
-            enc.hi.numerator, enc.hi.denominator)
+def _pooled(points: list[Fraction], args: tuple, workers: int,
+            in_time: Callable[[], bool]) -> Iterator[Callable[[], ScanRecord]]:
+    """Yield error_term(point, *args) result getters in grid order.
 
-
-def _unpack_enclosure(packed: tuple[int, int, int, int]) -> Enclosure:
-    return Enclosure(Fraction(packed[0], packed[1]),
-                     Fraction(packed[2], packed[3]))
-
-
-def _scan_one(args: tuple[str, str, str, int]) -> tuple:
-    """Worker entry: run one point and flatten the record to integers.
-
-    The pack/unpack exists for Python 3.10, where Fraction pickles
-    through its decimal string and trips the 4300-digit int-to-string
-    limit.  At width 1e-9 no record endpoint has more than about 120
-    digits for x up to 1e6, but they grow with the budget: at 1e-1000
-    (x = 1e4) they reach about 5100.  Bare integers pickle in binary,
-    so the record crosses the process boundary as numerator/denominator
-    tuples and is reassembled bit-identical.  From 3.11 Fraction pickles
-    as its two integers, so this can go once requires-python is >= 3.11.
+    A pool hands queued points to its workers ahead of time, where a
+    time cap can no longer stop them, so at most `workers` points are
+    in flight: each finished point makes room for the next one while
+    in_time() holds, and for none after.
     """
-    x_text, width_text, evaluator, d_cut = args
-    budget = PrecisionBudget(Fraction(width_text))
-    record = error_term(Fraction(x_text), budget, evaluator, d_cut)
-    return (record.x.numerator, record.x.denominator,
-            _pack_enclosure(record.value), _pack_enclosure(record.main),
-            _pack_enclosure(record.error), _pack_enclosure(record.bound_ratio),
-            record.evaluator, record.seconds)
-
-
-def _unpack_record(packed: tuple) -> ScanRecord:
-    return ScanRecord(Fraction(packed[0], packed[1]),
-                      _unpack_enclosure(packed[2]), _unpack_enclosure(packed[3]),
-                      _unpack_enclosure(packed[4]), _unpack_enclosure(packed[5]),
-                      packed[6], packed[7])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        ahead = (pool.submit(error_term, point, *args) for point in points)
+        futures = list(islice(ahead, workers))
+        running = set(futures)
+        for index in range(len(points)):
+            while futures[index] in running:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if in_time():
+                    fresh = list(islice(ahead, len(done)))
+                    futures += fresh
+                    running.update(fresh)
+            yield futures[index].result
 
 
 def scan(grid: list[RationalScalar],
@@ -331,56 +319,38 @@ def scan(grid: list[RationalScalar],
          workers: int = 1, time_cap: float | None = None) -> ScanResult:
     """Run error_term over a grid; order of records follows the grid.
 
-    workers > 1 fans points out to a process pool; results are
-    collected by grid index, so the output order (and every number in
-    it) is independent of scheduling.  time_cap stops the scan after
-    the point that crosses the cap and marks the result capped.  A pool
-    keeps at most `workers` points in flight, submitting the next one
-    whenever any point finishes and none once the cap has passed, so
-    past the cap it finishes at most workers - 1 points before it
-    closes, and drops their records.
+    One loop takes the points' results in grid order, keeps each record
+    or failure, and stops after the point that crosses time_cap, marking
+    the result capped.  The results are lazy error_term calls when
+    workers == 1 and a process pool's futures otherwise (_pooled).
+    Records and exceptions cross the process boundary whole, so the
+    output, failure messages included, does not depend on workers or on
+    scheduling.  Past the cap a pool finishes at most workers - 1 points
+    before it closes, and drops their records.
     """
     points = [Fraction(x) for x in grid]
     if workers < 1:
         raise ValueError("workers must be >= 1")
     started = time.perf_counter()
+
+    def in_time() -> bool:
+        return time_cap is None or time.perf_counter() - started <= time_cap
+
+    args = (budget, evaluator, d_cut)
+    if workers == 1:
+        results = (partial(error_term, point, *args) for point in points)
+    else:
+        results = _pooled(points, args, workers, in_time)
     records: list[ScanRecord] = []
     failures: list[tuple[int, RationalScalar, str]] = []
     capped = False
-
-    if workers == 1:
-        for index, point in enumerate(points):
+    with closing(results):
+        for index, (point, result) in enumerate(zip(points, results)):
             try:
-                records.append(error_term(point, budget, evaluator, d_cut))
+                records.append(result())
             except Exception as exc:  # noqa: BLE001  recorded, not fatal
                 failures.append((index, point, f"{type(exc).__name__}: {exc}"))
-            if time_cap is not None and time.perf_counter() - started > time_cap:
-                capped = index + 1 < len(points)
-                break
-        return ScanResult(tuple(records), tuple(failures), capped)
-
-    width_text = str(budget.target_width)
-    args = [(str(point), width_text, evaluator, d_cut) for point in points]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # At most `workers` points in flight, refilled as any one finishes
-        # (the pool hands queued points to its workers ahead of time, where
-        # a cap can no longer stop them), and none once the cap has passed.
-        ahead = iter(enumerate(args))
-        running = {pool.submit(_scan_one, arg): i for i, arg in islice(ahead, workers)}
-        finished = {}
-        for index, point in enumerate(points):
-            while index not in finished:
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    finished[running.pop(future)] = future
-                    if time_cap is None or time.perf_counter() - started <= time_cap:
-                        for i, arg in islice(ahead, 1):
-                            running[pool.submit(_scan_one, arg)] = i
-            try:
-                records.append(_unpack_record(finished.pop(index).result()))
-            except Exception as exc:  # noqa: BLE001  recorded, not fatal
-                failures.append((index, point, f"{type(exc).__name__}: {exc}"))
-            if time_cap is not None and time.perf_counter() - started > time_cap:
+            if not in_time():
                 capped = index + 1 < len(points)
                 break
     return ScanResult(tuple(records), tuple(failures), capped)

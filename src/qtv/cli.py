@@ -676,9 +676,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(path, "w", encoding="utf-8", newline="") as stream:
             stream.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --output {path}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -58,10 +58,15 @@ class BudgetError(RuntimeError):
 
     def __init__(self, requested: Fraction, detail: str = ""):
         self.requested = requested
+        self.detail = detail
         mag = (_decimal_digits(requested.denominator)
                - _decimal_digits(requested.numerator))
         msg = f"cannot reach target width (about 10^-{mag})"
         super().__init__(msg + (f": {detail}" if detail else ""))
+
+    def __reduce__(self):
+        # rebuilt from its arguments, so it unpickles (from a pool) whole
+        return type(self), (self.requested, self.detail)
 
 
 @dataclass(frozen=True)

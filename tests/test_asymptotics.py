@@ -196,12 +196,19 @@ def test_scan_records_failures_and_continues():
 
 
 def test_scan_parallel_matches_sequential():
-    grid = [Fraction(100), Fraction(1), Fraction(1000), Fraction(10**4)]
-    seq = scan(grid, BUDGET, evaluator="decomposed")
-    par = scan(grid, BUDGET, evaluator="decomposed", workers=2)
-    assert par.records == seq.records
-    assert [(i, x) for i, x, _ in par.failures] == \
-           [(i, x) for i, x, _ in seq.failures]
+    # failures cross the pool whole too, BudgetError included, also when
+    # the width's denominator is too long for int-to-str (4300 digits)
+    cases = [
+        ([Fraction(100), Fraction(1), Fraction(1000), Fraction(10**4)], BUDGET),
+        ([Fraction(5), Fraction(100)], PrecisionBudget(Fraction(1, 10**2000))),
+        ([Fraction(5), Fraction(100)], PrecisionBudget(Fraction(1, 10**5000))),
+    ]
+    for grid, budget in cases:
+        seq = scan(grid, budget, evaluator="decomposed")
+        par = scan(grid, budget, evaluator="decomposed", workers=2)
+        assert seq.failures
+        assert (par.records, par.failures, par.capped) == \
+               (seq.records, seq.failures, seq.capped)
 
 
 def test_scan_time_cap_truncates():

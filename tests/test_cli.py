@@ -275,6 +275,23 @@ def test_bad_arguments_are_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unwritable_output_is_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "eval", "1", "--output", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --output ")
+    assert err.count("\n") == 1
+
+
+def test_pooled_scan_reports_budget_failures_like_serial(capsys):
+    # the refused point comes back from the pool as a BudgetError failure
+    argv = ("scan", "--grid-min", "100", "--grid-max", "100",
+            "--tolerance", "1e-5000", "--format", "json")
+    serial = run(capsys, *argv, "--workers", "1")
+    assert run(capsys, *argv, "--workers", "2") == serial
+    assert "BudgetError" in serial[2]
+
+
 def _mask_seconds(text):
     text = re.sub(r"seconds \d+\.\d+", "seconds S", text)
     text = re.sub(r'"seconds": "?[0-9.e-]+"?', '"seconds": S', text)

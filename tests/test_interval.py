@@ -1,5 +1,6 @@
 """Enclosure arithmetic must never lose containment."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,16 @@ def test_budget_error_carries_request():
         scale_for(Fraction(1, 10**200000))
     assert info.value.requested == Fraction(1, 10**200000)
     assert "10^-" in str(info.value)
+
+
+def test_budget_error_pickles_whole():
+    # a pooled scan point hands its BudgetError back through pickle
+    error = BudgetError(Fraction(1, 10**5000), "scale cap exceeded")
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is BudgetError
+    assert back.requested == error.requested
+    assert back.detail == error.detail
+    assert str(back) == str(error)
 
 
 def test_scale_cap_boundary_is_exact():
