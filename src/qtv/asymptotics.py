@@ -12,12 +12,12 @@ over the about 2 sqrt(x) blocks (never x terms) puts each end term on
 one scaled-integer grid: into the bin of its class d <= d_cut, or into
 a single rest bin for the classes above the cut.  The pass splits at
 K = q0_block_cut(x).  Below N1 = floor(x/(K+1)) it walks the indices,
-each its own block end; above it walks the quotients v = K..1, whose
-block ends floor(x/v) all have gap 1.  The zero-gap class comes from
-its own closed form.  The rest is enclosed as tightly as any class
-bin, and the total does not depend on d_cut.  op_count reports the
-pass length plus the closed form's K terms so scaling tests can watch
-the growth rate.
+each its own block end; above it walks the quotients v = 1..K, whose
+block ends floor(x/v) all have gap 1, through blocks.end_squares.  The
+zero-gap class comes from its own closed form.  The rest is enclosed as
+tightly as any class bin, and the total does not depend on d_cut.
+op_count reports the pass length plus the closed form's K terms so
+scaling tests can watch the growth rate.
 
 The fast estimator is the one uncertified number in this module.  It
 evaluates (2/15 + sum_{d <= D} gap_coeff(d)) * sqrt(x) through the
@@ -40,7 +40,7 @@ from itertools import islice
 from math import fsum, log, sqrt
 from statistics import StatisticsError, linear_regression
 
-from .blocks import q0_block_cut, q0_blocks
+from .blocks import end_squares, q0_block_cut, q0_blocks
 from .coefficients import gap_coeff_sum, main_constant
 from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum,
                        pow_enclosure, sqrt_enclosure)
@@ -87,8 +87,9 @@ def decompose(x: RationalScalar, d_cut: int = 50,
     for the grid that holds every block end (one rounding per end, each
     class bin and the rest bin on the same scale).  Work is one O(sqrt(x))
     block pass in two phases, an index walk for n <= floor(x/(K+1)) and
-    a quotient walk for v = K..1 with K = q0_block_cut(x), plus the
-    zero-gap formula's own pass over the same K quotients.
+    a gap-1 quotient walk end_squares(p, q, 1, 0, K, scale) with
+    K = q0_block_cut(x), plus the zero-gap formula's own pass over the
+    same K quotients.
     """
     f = Fraction(x)
     if f <= 0:
@@ -105,8 +106,7 @@ def decompose(x: RationalScalar, d_cut: int = 50,
     end_bound = 2 * isqrt(p // q) + 4
     bins = [ScaledSum(part.target_width, end_bound) for _ in range(d_cut + 1)]
     scale = bins[0].scale
-    units = [0] * (d_cut + 1)
-    counts = [0] * (d_cut + 1)
+    units, counts = [0] * (d_cut + 1), [0] * (d_cut + 1)
 
     # Index phase, n = 1..n1: the quotient floor(x/n) exceeds cut, and
     # such a block holds at most one index, so n ends its own block and
@@ -124,16 +124,10 @@ def decompose(x: RationalScalar, d_cut: int = 50,
         counts[slot] += 1
         v = nxt
 
-    # Quotient phase, v = cut..1: the block ends at n = floor(x/v) with
-    # n(n+1) > x, so its gap is 1 and its term is (m - p)^2/m^2.
-    ones = 0
-    for v in range(cut, 0, -1):
-        n = p // (q * v)
-        m = q * n * (n + 1)
-        e = m - p
-        ones += e * e * scale // (m * m)
+    # Quotient phase, v = 1..cut: the block end n = floor(x/v) has
+    # n(n+1) > x, so its gap is 1; end_squares sums the gap-1 terms.
     slot = 1 if d_cut else 0
-    units[slot] += ones
+    units[slot] += end_squares(p, q, 1, 0, cut, scale)
     counts[slot] += cut
 
     for acc, total, count in zip(bins, units, counts):

@@ -14,11 +14,10 @@ d + 1 <= x/2, to five short sums over quotients k:
 
 with summand(k) = d^2 floor(x/k) + 2dx/floor(x/k) - x^2 tail(x/k),
 tail(t) = sum_{n > t-1} 1/(n(n+1))^2.  The three summand sums run over
-O(d) values of k near sqrt(dx), but the two square sums run between
-consecutive cut points, about sqrt(x)(sqrt(d+1) - sqrt(d)) ~ sqrt(x/d)/2
-values of k each, so the cost is O(d + sqrt(x/d)) terms (70,734 at
-x = 1e11, d = 20); every piece is exact rational except the tail, which
-carries a certified bracket.
+O(d) values of k near sqrt(dx), the two square sums over the about
+sqrt(x/d)/2 values of k between consecutive cut points, so the cost is
+O(d + sqrt(x/d)) terms (70,734 at x = 1e11, d = 20).  Every piece is
+exact rational except the tail, which carries a certified bracket.
 Empty ranges (upper bound <= lower bound) contribute nothing, which
 silently handles d = 1 where the K_0 ranges vanish.
 
@@ -40,6 +39,10 @@ ends, so
 
 one tail evaluation and K exact terms, again O(sqrt(x)) total.
 
+One kernel, end_squares, sums the gap-d terms (d - x/(n(n+1)))^2 at the
+block ends n = floor(x/k) of a quotient range: qd_blocks' two square sums,
+q0_blocks' K ends (d = 0) and asymptotics.decompose's gap-1 walk (d = 1).
+
 residual_report packages the difference between each of these sums
 and its leading asymptotic term, normalized by the expected error
 envelope, so the envelopes can be checked empirically.
@@ -53,7 +56,7 @@ from fractions import Fraction
 
 from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum,
                        sqrt_enclosure)
-from .oracle import _term, q_d_direct
+from .oracle import q_d_direct
 from .rational import RationalScalar, floor_sqrt_rational
 from .tails import g2_tail, g2_tail_real
 
@@ -135,6 +138,21 @@ def block_summand(x: RationalScalar, d: int, k: int,
     return Enclosure(exact - xx * tail.hi, exact - xx * tail.lo)
 
 
+def end_squares(p: int, q: int, d: int, a: int, b: int, scale: int) -> int:
+    """sum_{a < k <= b} floor(scale (d - x/(n(n+1)))^2), n = floor(x/k),
+    x = p/q, 0 <= a, b <= floor(x).  Each term is scale d^2 plus the floor
+    of (spp - sdq t)/(q t)^2, t = n(n+1), with spp and sdq made once."""
+    if a < 0:
+        raise ValueError("quotient ranges start at k >= 1")
+    spp, sdq, qq = scale * p * p, 2 * d * q * scale * p, q * q
+    units = 0
+    for qk in range(q * (a + 1), q * b + 1, q):
+        n = p // qk
+        t = n * n + n
+        units += (spp - sdq * t) // (qq * t * t)
+    return units + scale * d * d * max(0, b - a)
+
+
 @dataclass(frozen=True)
 class QdBlockReport:
     """Outcome of the closed-form class-d evaluation.
@@ -180,34 +198,26 @@ def qd_blocks(x: RationalScalar, d: int,
         ("upper", (kp - d - 1 + _middle_shift, kp + _middle_shift), -1),
         ("lower", (km - d + 1, km), -1),
     )
-    square_ranges = (
-        ("between upper", (k0, kp), -1),
-        ("between lower", (km, k0), 1),
-    )
-    # All accumulation happens on a power-of-ten grid: every term is
+    # All accumulation happens on power-of-ten grids: every term is
     # outward-rounded to integer units first, so denominators never
-    # compound across the sum.  Budget: a quarter on the summand
-    # tails, a quarter on summand rounding, a quarter on square-term
-    # rounding; ranges sized by |coefficient| times length.
+    # compound across the sum.  Budget: at most w/4 on the summand
+    # tails, w/2 on summand rounding (ScaledSum.add charges up to two
+    # units per enclosure) and w/4 on square-term floors; summand
+    # ranges sized by |coefficient| times length.
     w = budget.target_width
     evals = sum(abs(c) * max(0, b - a) for _, (a, b), c in summand_ranges)
     per = PrecisionBudget(w / (4 * max(1, evals)))
-    for name, (a, b), _ in summand_ranges + square_ranges:
+    for name, (a, b), _ in summand_ranges:
         if b > a and a < 0:
             raise ValueError(f"range '{name}' reaches k = {a + 1} < 1")
     summands = ScaledSum(w / 4, evals)
     for _, (a, b), coef in summand_ranges:
         for k in range(a + 1, b + 1):
             summands.add(block_summand(f, d, k, per), coef)
-    squares = ScaledSum(w / 4, sum(max(0, b - a) for _, (a, b), _ in square_ranges))
-    p, q = f.numerator, f.denominator
-    for _, (a, b), coef in square_ranges:
-        # (d - x jump_weight(x/k))^2 is the gap-d term at n = floor(x/k)
-        units = 0
-        for k in range(a + 1, b + 1):
-            num, den = _term(p, q, d, p // (q * k))
-            units += num * squares.scale // den
-        squares.add_floors(units, max(0, b - a), coef)
+    squares = ScaledSum(w / 4, kp - km)
+    p, q, scale = f.numerator, f.denominator, squares.scale
+    squares.add_floors(end_squares(p, q, d, k0, kp, scale), kp - k0, -1)
+    squares.add_floors(end_squares(p, q, d, km, k0, scale), k0 - km)
     value = summands.enclosure() + squares.enclosure()
     direct = q_d_direct(f, d) if compare_direct else None
     return QdBlockReport(f, d, value, (km, k0, kp), direct)
@@ -227,12 +237,7 @@ def q0_blocks(x: RationalScalar,
     whole = g2_tail(top, PrecisionBudget(half / xx))
     # subtract the block ends floor(x/v), v = 1..cut, as grid floors
     ends = ScaledSum(half, cut)
-    pps, qq = p * p * ends.scale, q * q
-    units = 0
-    for v in range(1, cut + 1):
-        m = p // (q * v)
-        units += pps // (qq * (m * (m + 1)) ** 2)
-    ends.add_floors(units, cut, -1)
+    ends.add_floors(end_squares(p, q, 0, 0, cut, ends.scale), cut, -1)
     sub = ends.enclosure()
     return Enclosure(max(Fraction(0), xx * whole.lo + sub.lo), xx * whole.hi + sub.hi)
 

@@ -74,12 +74,6 @@ def _enc_pair(enc: Enclosure) -> tuple[str, str]:
     return format_rational(enc.lo, DIGITS, "down"), _up(enc.hi)
 
 
-def _frac_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _parse_x(text: str, minimum: Fraction = Fraction(0)) -> Fraction:
     try:
         x = parse_rational(text)
@@ -155,7 +149,7 @@ def cmd_eval(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "json":
         payload = {
             "schema": 1,
-            "x": _frac_str(x),
+            "x": str(x),
             "q_lo": lo,
             "q_hi": hi,
             "width": _up(value.width),
@@ -166,7 +160,7 @@ def cmd_eval(args: argparse.Namespace) -> tuple[int, str]:
         payload.update(extra)
         return EXIT_OK, _json(payload)
     tag = "rigorous" if rigorous else "heuristic, rigorous: false"
-    lines = [f"Q({_frac_str(x)}) in [{lo}, {hi}]",
+    lines = [f"Q({x}) in [{lo}, {hi}]",
              f"width <= {_up(value.width)}",
              f"evaluator {args.evaluator} ({tag})"]
     lines += [f"{key} {val}" for key, val in extra.items()]
@@ -203,12 +197,12 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "json":
         return EXIT_OK, _json({
             "schema": 1,
-            "x": _frac_str(x),
+            "x": str(x),
             "d_max": args.d_max,
             "rows": _table(DECOMPOSE_COLUMNS, rows, "json"),
             "op_count": report.op_count,
         })
-    lines = [f"Q({_frac_str(x)}) by gap class, cut at d = {args.d_max}",
+    lines = [f"Q({x}) by gap class, cut at d = {args.d_max}",
              *_pair_table(6, "class total", "cumulative", rows),
              f"block operations: {report.op_count}"]
     return EXIT_OK, "\n".join(lines) + "\n"
@@ -403,7 +397,7 @@ def _record_row(record: ScanRecord) -> list[str]:
     qlo, qhi = _enc_pair(record.value)
     mlo, mhi = _enc_pair(record.main)
     elo, ehi = _enc_pair(record.error)
-    return [_frac_str(record.x), qlo, qhi, mlo, mhi, elo, ehi,
+    return [str(record.x), qlo, qhi, mlo, mhi, elo, ehi,
             _up(record.bound_ratio.hi), record.evaluator,
             f"{record.seconds:.3f}"]
 
@@ -424,6 +418,8 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
         raise UsageError("--grid-ratio must be > 1")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
+    if args.runtime_cap is not None and not args.runtime_cap >= 0:
+        raise UsageError("--runtime-cap must be >= 0")
     _check_d_max(args.evaluator, args.d_max)
     grid = [Fraction(g) for g in
             geometric_grid(int(lo), int(hi), ratio)]
@@ -431,7 +427,7 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
                   workers=args.workers, time_cap=args.runtime_cap)
 
     for index, x, message in result.failures:
-        print(f"warning: point {index} (x = {_frac_str(x)}) failed: "
+        print(f"warning: point {index} (x = {x}) failed: "
               f"{message}", file=sys.stderr)
 
     rows = [_record_row(record) for record in result.records]
@@ -441,7 +437,7 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
             "evaluator": args.evaluator,
             "capped": result.capped,
             "records": _table(SCAN_COLUMNS, rows, "json"),
-            "failures": [{"index": i, "x": _frac_str(x), "message": m}
+            "failures": [{"index": i, "x": str(x), "message": m}
                          for i, x, m in result.failures],
         })
     else:

@@ -11,7 +11,7 @@ comparisons, never by floating point.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 
 RationalScalar = Fraction
@@ -71,7 +71,7 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"bad rational literal {text!r}") from exc
     try:
         return Fraction(Decimal(s))
-    except InvalidOperation as exc:
+    except (ArithmeticError, ValueError) as exc:  # also on inf and nan
         raise ValueError(f"bad rational literal {text!r}") from exc
 
 

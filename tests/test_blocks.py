@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qtv.asymptotics import decompose
 from qtv.blocks import (RESIDUAL_NAMES, block_summand, cut_point,
-                        q0_block_cut, q0_blocks, qd_blocks, residual_report,
+                        end_squares, q0_block_cut, q0_blocks, qd_blocks, residual_report,
                         sum_k3_range, sum_k4_range, sum_k_range)
 from qtv.coefficients import sqrt_sum, zeta_3_2
 from qtv.interval import PrecisionBudget
@@ -80,6 +80,39 @@ def test_power_sums_match_loops(a, b):
     assert sum_k_range(a, b) == sum(range(a + 1, b + 1))
     assert sum_k3_range(a, b) == sum(k**3 for k in range(a + 1, b + 1))
     assert sum_k4_range(a, b) == sum(k**4 for k in range(a + 1, b + 1))
+
+
+def brute_end_squares(x, d, a, b, scale):
+    total = 0
+    for k in range(a + 1, b + 1):
+        n = x.numerator // (x.denominator * k)
+        term = scale * (d - x / (n * (n + 1))) ** 2
+        total += term.numerator // term.denominator
+    return total
+
+
+@given(st.fractions(min_value=1, max_value=1000), st.integers(0, 40),
+       st.integers(1, 10**30), st.data())
+@settings(max_examples=100, deadline=None)
+def test_end_squares_matches_exact_floors(x, d, scale, data):
+    top = x.numerator // x.denominator
+    a = data.draw(st.integers(0, top), label="a")
+    b = data.draw(st.integers(0, top), label="b")  # b <= a half the time
+    got = end_squares(x.numerator, x.denominator, d, a, b, scale)
+    assert got == brute_end_squares(x, d, a, b, scale)
+
+
+def test_end_squares_edges():
+    p, q = 1000, 3
+    # at k = 1, n = 333: 2 d q n(n+1) > p for every d >= 1, so the
+    # expanded numerator spp - sdq t is negative there
+    assert 2 * q * 333 * 334 > p
+    for d in (1, 7, 40):
+        expect = brute_end_squares(Fraction(p, q), d, 0, 333, 10**12)
+        assert end_squares(p, q, d, 0, 333, 10**12) == expect
+    assert end_squares(p, q, 5, 9, 9, 10) == end_squares(p, q, 5, 9, 2, 10) == 0
+    with pytest.raises(ValueError):
+        end_squares(p, q, 1, -1, 5, 10)
 
 
 def test_block_summand_contains_true_value():

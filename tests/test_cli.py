@@ -244,6 +244,14 @@ def test_fit_rejects_foreign_csv(tmp_path, capsys):
     assert "not a scan CSV" in err
 
 
+def test_fit_rejects_non_finite_cells(tmp_path, capsys):
+    table = tmp_path / "inf.csv"
+    table.write_text("x,err_lo,err_hi,ratio_hi\n100,0.5,0.6,inf\n")
+    code, _, err = run(capsys, "fit", "--input", str(table))
+    assert code == 2
+    assert err == "error: input is not a scan CSV: bad rational literal 'inf'\n"
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -265,6 +273,11 @@ def test_module_entry_point():
     ("scan", "--workers", "0"),
     ("scan", "--grid-min", "2", "--grid-max", "1"),
     ("scan", "--grid-ratio", "abc"),
+    ("eval", "inf"),
+    ("eval", "5", "--tolerance", "inf"),
+    ("scan", "--grid-ratio", "inf"),
+    ("scan", "--runtime-cap", "-1"),
+    ("scan", "--runtime-cap", "nan"),
     ("fit", "--input", "missing.csv"),
     ("eval", "1", "--output", "/nonexistent/x.txt"),
 ], ids=" ".join)
