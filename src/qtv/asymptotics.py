@@ -17,7 +17,8 @@ block ends floor(x/v) all have gap 1, through blocks.end_squares.  The
 zero-gap class comes from its own closed form.  The rest is enclosed as
 tightly as any class bin, and the total does not depend on d_cut.
 op_count reports the pass length plus the closed form's K terms so
-scaling tests can watch the growth rate.
+scaling tests can watch the growth rate.  decomposed_eval needs no bins:
+Q(x) = sum g^2 - 2 sum x g/(n(n+1)) + x^2 (pi^2/3 - 3) over the ends n.
 
 The fast estimator is the one uncertified number in this module.  It
 evaluates (2/15 + sum_{d <= D} gap_coeff(d)) * sqrt(x) through the
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterator
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,10 +40,10 @@ from itertools import islice
 from math import fsum, log, sqrt
 from statistics import StatisticsError, linear_regression
 
-from .blocks import end_squares, q0_block_cut, q0_blocks
-from .coefficients import gap_coeff_sum, main_constant
+from .blocks import end_moments, end_squares, q0_block_cut, q0_blocks
+from .coefficients import gap_coeff_sum, main_constant, pi_enclosure
 from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum,
-                       pow_enclosure, sqrt_enclosure)
+                       pow_enclosure, scale_for, sqrt_enclosure)
 from .oracle import QValue, q_eval
 from .rational import RationalScalar, iroot, isqrt
 
@@ -143,14 +143,22 @@ def decomposed_eval(x: RationalScalar,
                     budget: PrecisionBudget = DEFAULT_BUDGET) -> QValue:
     """Q(x) through the gap-class route, packaged like q_eval output.
 
-    The total does not depend on the class cut, so this is decompose
-    with no class bins.  The whole enclosure rides in the tail slot
-    (head 0): no initial segment of the series is summed term by term
-    here.
+    Only block ends have a nonzero gap g, so Q(x) = sum g^2 -
+    2 sum x g/(n(n+1)) + x^2 (pi^2/3 - 3): one blocks.end_moments walk
+    (grid w/4, so w/2 after the factor -2) and pi at w/(5 x^2), which
+    keeps x^2 (pi_hi^2 - pi_lo^2)/3 below w/2; unlike g2_tail(1), Machin's
+    series has no order cap.  The whole enclosure rides in the tail slot.
     """
-    report = decompose(x, 0, budget)
-    return QValue(x=report.x, value=report.value, head=Fraction(0),
-                  tail=report.value, head_count=0)
+    f = Fraction(x)
+    xx = f * f
+    pi_budget = PrecisionBudget(budget.target_width / (5 * xx))
+    scale_for(pi_budget.target_width / 2)  # refuse before the series
+    pi = pi_enclosure(pi_budget)
+    squares, grid = end_moments(f, budget.target_width / 4)
+    value = Enclosure(
+        max(Fraction(0), squares + xx * (pi.lo**2 / 3 - 3) - 2 * grid.hi),
+        squares + xx * (pi.hi**2 / 3 - 3) - 2 * grid.lo)
+    return QValue(f, value, Fraction(0), value, 0)
 
 
 # Fitted on dev panels x in {10^5, 10^6, 10^7} (direct evaluator as
@@ -293,6 +301,8 @@ def _pooled(points: list[Fraction], args: tuple, workers: int,
     in flight: each finished point makes room for the next one while
     in_time() holds, and for none after.
     """
+    # only a pooled scan starts a pool; the import slows every CLI start
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     with ProcessPoolExecutor(max_workers=workers) as pool:
         ahead = (pool.submit(error_term, point, *args) for point in points)
         futures = list(islice(ahead, workers))

@@ -39,9 +39,11 @@ ends, so
 
 one tail evaluation and K exact terms, again O(sqrt(x)) total.
 
-One kernel, end_squares, sums the gap-d terms (d - x/(n(n+1)))^2 at the
-block ends n = floor(x/k) of a quotient range: qd_blocks' two square sums,
+end_squares sums the gap-d terms (d - x/(n(n+1)))^2 at the block ends
+n = floor(x/k) of a quotient range: qd_blocks' two square sums,
 q0_blocks' K ends (d = 0) and asymptotics.decompose's gap-1 walk (d = 1).
+end_moments, the other quotient loop, visits every block end once for
+decomposed_eval: the exact sum of g^2 and a grid sum of x g/(n(n+1)).
 
 residual_report packages the difference between each of these sums
 and its leading asymptotic term, normalized by the expected error
@@ -151,6 +153,29 @@ def end_squares(p: int, q: int, d: int, a: int, b: int, scale: int) -> int:
         t = n * n + n
         units += (spp - sdq * t) // (qq * t * t)
     return units + scale * d * d * max(0, b - a)
+
+
+def end_moments(x: RationalScalar, width: Fraction) -> tuple[int, Enclosure]:
+    """Exact sum g^2 and sum x g/(n(n+1)) within `width` over the block
+    ends n, g the gap: each n <= floor(x/(K+1)), then the gap-1 ends
+    floor(x/v), v = 1..K = q0_block_cut(x), one grid floor each."""
+    p, q = Fraction(x).as_integer_ratio()
+    cut = q0_block_cut(x)
+    n1 = p // (q * (cut + 1))
+    grid = ScaledSum(width, n1 + cut)
+    sp = grid.scale * p
+    squares, units, v = 0, 0, p // q
+    for n in range(1, n1 + 1):
+        q_next = q * (n + 1)
+        g = v - (v := p // q_next)
+        squares += g * g
+        units += sp * g // (q_next * n)
+    spq = sp // q  # floor(floor(a/q)/t) == floor(a/(q t))
+    for qv in range(q, q * cut + 1, q):
+        n = p // qv
+        units += spq // (n * n + n)
+    grid.add_floors(units, n1 + cut)
+    return squares + cut, grid.enclosure()
 
 
 @dataclass(frozen=True)

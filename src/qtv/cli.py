@@ -252,8 +252,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
             if 2 * (d + 1) > x:
                 continue
             exact = q_d_direct(x, d)
-            rep = qd_blocks(x, d, budget, compare_direct=False,
-                            _middle_shift=args.shift_middle)
+            try:
+                rep = qd_blocks(x, d, budget, compare_direct=False,
+                                _middle_shift=args.shift_middle)
+            except ValueError as exc:  # a shifted range left 1 <= k <= x
+                if not args.shift_middle:
+                    raise
+                raise UsageError(f"--shift-middle: {exc}") from exc
             checks.append(_check("class_closed_form",
                                  {"x": x_text, "d": d},
                                  exact, rep.value, rep.value.contains(exact)))

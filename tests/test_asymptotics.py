@@ -13,7 +13,7 @@ from qtv.asymptotics import (EVALUATORS, DecompositionReport, FastEstimate,
                              fast_estimate, fit_exponent, geometric_grid,
                              scan)
 from qtv.blocks import q0_block_cut, q0_blocks
-from qtv.interval import Enclosure, PrecisionBudget, ScaledSum
+from qtv.interval import BudgetError, Enclosure, PrecisionBudget, ScaledSum
 from qtv.oracle import (QValue, _blocks, gap, q0_direct, q_d_direct, q_eval,
                         q_values_by_gap)
 
@@ -113,6 +113,37 @@ def test_decomposed_eval_meets_its_budget(x, width):
     value = decomposed_eval(x, budget).value
     assert value.width <= width
     assert value.intersects(q_eval(x, budget).value)
+
+
+@given(st.integers(1, 3 * 10**4), st.integers(1, 9), st.integers(3, 30))
+@settings(max_examples=40, deadline=None)
+def test_decomposed_eval_meets_random_budgets(p, q, digits):
+    x, budget = Fraction(p, q), PrecisionBudget(Fraction(1, 10**digits))
+    value = decomposed_eval(x, budget).value
+    assert value.width <= budget.target_width
+    assert value.intersects(q_eval(x, budget).value)
+
+
+@pytest.mark.parametrize("x", [Fraction(10**8), Fraction(10**9 + 7),
+                               Fraction(31415926535, 7)], ids=str)
+def test_decomposed_eval_meets_decompose(x):
+    assert decomposed_eval(x, BUDGET).value.intersects(
+        decompose(x, 0, BUDGET).value)
+
+
+def test_decomposed_eval_reaches_past_the_em_order_cap():
+    # g2_tail(1) alone stops near 1e-470; pi by Machin's series has no cap
+    x, budget = Fraction(10**8), PrecisionBudget(Fraction(1, 10**600))
+    value = decomposed_eval(x, budget).value
+    assert value.width <= budget.target_width
+    assert value.intersects(decompose(x, 0, budget).value)
+
+
+def test_out_of_reach_decomposed_budget_is_refused_before_the_walk():
+    # the walk over the 2e12 block ends of 1e24 would not return
+    with pytest.raises(BudgetError):
+        decomposed_eval(Fraction(10**24),
+                        PrecisionBudget(Fraction(1, 10**100001)))
 
 
 def test_block_pass_scales_like_sqrt():

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from qtv.asymptotics import decompose
 from qtv.blocks import (RESIDUAL_NAMES, block_summand, cut_point,
-                        end_squares, q0_block_cut, q0_blocks, qd_blocks, residual_report,
-                        sum_k3_range, sum_k4_range, sum_k_range)
+                        end_moments, end_squares, q0_block_cut, q0_blocks,
+                        qd_blocks, residual_report, sum_k3_range,
+                        sum_k4_range, sum_k_range)
 from qtv.coefficients import sqrt_sum, zeta_3_2
-from qtv.interval import PrecisionBudget
-from qtv.oracle import _blocks, q0_direct, q_d_direct
+from qtv.interval import Enclosure, PrecisionBudget, scale_for
+from qtv.oracle import _blocks, gap, q0_direct, q_d_direct
 
 
 def brute_cut(x, d):
@@ -113,6 +114,39 @@ def test_end_squares_edges():
     assert end_squares(p, q, 5, 9, 9, 10) == end_squares(p, q, 5, 9, 2, 10) == 0
     with pytest.raises(ValueError):
         end_squares(p, q, 1, -1, 5, 10)
+
+
+def check_end_moments(x, width):
+    # every n <= floor(x) with a nonzero gap, one grid floor each
+    gaps = [(n, gap(x, n)) for n in range(1, x.numerator // x.denominator + 1)]
+    ends = [(n, g) for n, g in gaps if g]
+    scale = scale_for(width, len(ends))
+    units = 0
+    for n, g in ends:
+        term = scale * x * g / (n * (n + 1))
+        units += term.numerator // term.denominator
+    squares, grid = end_moments(x, width)
+    assert squares == sum(g * g for _, g in gaps)
+    assert grid == Enclosure.from_scaled(units, units + len(ends), scale)
+    assert grid.contains(sum(x * g / Fraction(n * (n + 1)) for n, g in ends))
+    assert grid.width <= width
+
+
+@given(st.integers(1, 3 * 10**4), st.integers(1, 50), st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_end_moments_matches_brute_force(p, q, digits):
+    check_end_moments(Fraction(p, q), Fraction(1, 10**digits))
+
+
+def test_end_moments_below_two():
+    # x < 1 has no block end; 1 <= x < 2 has the one end n = 1 and K = 0
+    for x in (Fraction(1, 3), Fraction(99, 100), Fraction(1), Fraction(3, 2),
+              Fraction(199, 100)):
+        check_end_moments(x, Fraction(1, 10**12))
+    assert end_moments(Fraction(1, 3), Fraction(1, 10))[0] == 0
+    assert end_moments(Fraction(3, 2), Fraction(1, 10))[0] == 1
+    with pytest.raises(ValueError):
+        end_moments(Fraction(0), Fraction(1, 10))
 
 
 def test_block_summand_contains_true_value():

@@ -144,6 +144,15 @@ def test_verify_detects_range_shift(capsys):
     assert broken == {"class_closed_form"}
 
 
+@pytest.mark.parametrize("shift", ["-100", "10000"])
+def test_verify_shift_out_of_range_is_exit_2(capsys, shift):
+    code, out, err = run(capsys, "verify", "--x", "1000", "--shift-middle",
+                         shift)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --shift-middle")
+
+
 def test_verify_skips_classes_beyond_small_x(capsys):
     # d = 20 has no cut point at x = 15: the residual cases drop it
     code, payload, _ = run_json(capsys, "verify", "--x", "15")
