@@ -27,12 +27,16 @@ records; every JSON payload goes through _json.
 The only numbers exempt from the endpoint rule are wall-clock seconds
 and the regression outputs of fit, which are measurements, not
 enclosures; they are printed as plain decimals.
+
+main parses with the process's one parser, built on first use, and
+build_parser() returns that same parser, so do not mutate it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -577,7 +581,9 @@ def _add_common(parser: argparse.ArgumentParser,
                         help="write to PATH instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="qtv",
         description="Exact and certified evaluation of the fractional-part "

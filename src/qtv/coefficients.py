@@ -204,24 +204,29 @@ def pi_enclosure(budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
     pi = 16 atan(1/5) - 4 atan(1/239) with atan(1/k) = sum_j (-1)^j t_j,
     t_j = 1/((2j+1) k^(2j+1)); the terms fall, so stopping before t_J
     leaves a remainder between 0 and (-1)^J t_J.  The two remainders get
-    a quarter of the width each, the grid floors the other half."""
+    a quarter of the width each, the grid floors the other half.  Each
+    series keeps a running floor r = floor(S / k^(2j+1)) of the grid
+    scale S, divided by k^2 per step; floor(r / (2j+1)) is the grid
+    floor of t_j, so every division is by a small integer."""
     w = min(budget.target_width, Fraction(1, 10**40))
     wn, wd = w.numerator, w.denominator
     series = []
     for coef, k in ((16, 5), (-4, 239)):
-        # divisors (2j+1) k^(2j+1) up to the first j = J with |coef| t_J <= w/4
-        divs = [k]
-        power = k
-        while 4 * abs(coef) * wd > wn * divs[-1]:
+        # the first J with |coef| t_J <= w/4, and the divisor of t_J
+        terms, power = 0, k
+        while 4 * abs(coef) * wd > wn * (2 * terms + 1) * power:
+            terms += 1
             power *= k * k
-            divs.append((2 * len(divs) + 1) * power)
-        series.append((coef, divs))
-    total = ScaledSum(w / 2, sum(abs(coef) * len(divs) for coef, divs in series))
-    for coef, divs in series:
-        for j, div in enumerate(divs[:-1]):
-            total.add_floors(total.scale // div, 1, (-1) ** j * coef)
-        total.add(Enclosure(Fraction(0), Fraction(1, divs[-1])),
-                  (-1) ** (len(divs) - 1) * coef)
+        series.append((coef, k, terms, (2 * terms + 1) * power))
+    total = ScaledSum(w / 2, sum(abs(coef) * (terms + 1)
+                                 for coef, _, terms, _ in series))
+    for coef, k, terms, div in series:
+        r = total.scale // k
+        for j in range(terms):
+            total.add_floors(r // (2 * j + 1), 1, (-1) ** j * coef)
+            r //= k * k
+        total.add(Enclosure(Fraction(0), Fraction(1, div)),
+                  (-1) ** terms * coef)
     return total.enclosure()
 
 

@@ -19,6 +19,13 @@ RationalScalar = Fraction
 # Exact floor of sqrt on nonnegative ints; raises ValueError on negatives.
 isqrt = math.isqrt
 
+# Largest |exponent| parse_rational accepts in a decimal literal.  The
+# exact value holds 10^|exponent|, whose build grows faster than the
+# digit count (about 3 s at 5e6 and 11 s at 1e7 on 2 vCPUs); 50 times
+# interval.MAX_SCALE_DIGITS still lets every width the scale cap
+# refuses reach that refusal.
+MAX_EXPONENT = 5_000_000
+
 
 def iroot(m: int, k: int) -> int:
     """Exact floor(m ** (1/k)) for m >= 0, k >= 1, by Newton on integers.
@@ -59,6 +66,8 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', a plain decimal string, or scientific notation, exactly.
 
     This is the only input path for x and tolerances: no float round trip.
+    A decimal exponent beyond +-MAX_EXPONENT is refused with ValueError
+    before any conversion.
     """
     s = text.strip()
     if not s:
@@ -70,9 +79,15 @@ def parse_rational(text: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {text!r}") from exc
     try:
-        return Fraction(Decimal(s))
-    except (ArithmeticError, ValueError) as exc:  # also on inf and nan
+        value = Decimal(s)
+    except ArithmeticError as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
+    if not value.is_finite():
+        raise ValueError(f"bad rational literal {text!r}")
+    if abs(value.as_tuple().exponent) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent of {text!r} is beyond "
+                         f"+-{MAX_EXPONENT}")
+    return Fraction(value)
 
 
 def format_rational(value: Fraction, digits: int = 15, direction: str = "nearest") -> str:

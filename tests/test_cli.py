@@ -8,6 +8,7 @@ to cover the module entry point.
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -289,6 +290,10 @@ def test_module_entry_point():
     ("scan", "--runtime-cap", "nan"),
     ("fit", "--input", "missing.csv"),
     ("eval", "1", "--output", "/nonexistent/x.txt"),
+    ("eval", "1e999999999"),
+    ("eval", "1e-99999999"),
+    ("eval", "2", "--tolerance", "1e-999999999"),
+    ("scan", "--grid-ratio", "1e999999999"),
 ], ids=" ".join)
 def test_bad_arguments_are_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -355,3 +360,48 @@ def test_argparse_usage_error_is_exit_2():
                            "--evaluator", "wrong"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
+
+
+REUSE_SEQUENCE = [
+    ("eval", "1000"),
+    ("decompose", "997", "--format", "csv"),
+    ("verify", "--x", "1000"),
+    ("eval", "1", "--evaluator", "wrong"),
+    ("scan", "--grid-max", "1000", "--grid-ratio", "10", "--format", "json"),
+    ("verify", "--x", "1000"),
+]
+
+
+def _fresh_process(*argv):
+    """Exit code, stdout and stderr of argv as the first command of a
+    new interpreter, at a fixed help width."""
+    proc = subprocess.run([sys.executable, "-m", "qtv.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "COLUMNS": "80"})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse: usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_reuse_matches_a_fresh_process(capsys, monkeypatch):
+    # main parses with one parser per process: nothing one call parses
+    # may leak into the next, and help texts stay as built
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in REUSE_SEQUENCE:
+        code, out, err = _in_process(capsys, *argv)
+        first = _fresh_process(*argv)
+        assert (code, _mask_seconds(out), err) == \
+            (first[0], _mask_seconds(first[1]), first[2]), argv
+    assert code == 0
+    xs = {check["params"]["x"] for check in json.loads(out)["checks"]
+          if "x" in check["params"]}
+    assert xs == {"1000"}  # the --x append list starts empty every call
+    for argv in (("--help",), ("eval", "--help")):
+        assert _in_process(capsys, *argv) == _fresh_process(*argv)

@@ -10,7 +10,7 @@ from qtv.coefficients import (DEFAULT_COEFFS, CoeffPartialSum, coeff_sum_limit,
                               gap_coeff, gap_coeff_partial_sum, gap_coeff_sum,
                               gap_coeff_telescoped, limit_estimate,
                               main_constant, pi_enclosure, sqrt_sum, zeta_3_2)
-from qtv.interval import Enclosure, PrecisionBudget
+from qtv.interval import Enclosure, PrecisionBudget, ScaledSum
 from qtv.rational import isqrt
 
 TIGHT = PrecisionBudget(Fraction(1, 10**20))
@@ -137,6 +137,35 @@ def test_pi_bracket():
         enc = pi_enclosure(PrecisionBudget(width))
         assert enc.width <= min(width, Fraction(1, 10**40))
         assert enc.intersects(ref)
+
+
+def _pi_by_divisor_list(width):
+    """Machin's series with each term floored from the full grid scale."""
+    w = min(width, Fraction(1, 10**40))
+    series = []
+    for coef, k in ((16, 5), (-4, 239)):
+        divs = [k]
+        power = k
+        while 4 * abs(coef) * w.denominator > w.numerator * divs[-1]:
+            power *= k * k
+            divs.append((2 * len(divs) + 1) * power)
+        series.append((coef, divs))
+    total = ScaledSum(w / 2, sum(abs(coef) * len(divs) for coef, divs in series))
+    for coef, divs in series:
+        for j, div in enumerate(divs[:-1]):
+            total.add_floors(total.scale // div, 1, (-1) ** j * coef)
+        total.add(Enclosure(Fraction(0), Fraction(1, divs[-1])),
+                  (-1) ** (len(divs) - 1) * coef)
+    return total.enclosure()
+
+
+@pytest.mark.parametrize("digits", [45, 600, 2000])
+def test_pi_running_floor_matches_the_divisor_list(digits):
+    # floor(floor(S / a) / b) = floor(S / ab): the same grid units exactly
+    width = Fraction(1, 10**digits)
+    enc = pi_enclosure(PrecisionBudget(width))
+    reference = _pi_by_divisor_list(width)
+    assert (enc.lo, enc.hi) == (reference.lo, reference.hi)
 
 
 def test_main_constant_meets_widths_past_forty_digits():

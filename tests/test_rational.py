@@ -50,7 +50,8 @@ def test_parse_rational_forms():
 
 
 def test_parse_rational_rejects_junk():
-    for bad in ("", "abc", "1/0", "1.2.3"):
+    for bad in ("", "abc", "1/0", "1.2.3", "1e5000001", "0e-5000001",
+                "-2.5E+999999999"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
