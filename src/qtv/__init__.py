@@ -25,12 +25,11 @@ from .coefficients import (CoeffPartialSum, coeff_sum_limit, gap_coeff,
 from .interval import (DEFAULT_BUDGET, BudgetError, Enclosure,
                        PrecisionBudget, pow_enclosure, root_enclosure,
                        sqrt_enclosure)
-from .oracle import (EXACT_HEAD_LIMIT, GapClass, QValue, frac_part, gap,
-                     gap_class, q0_direct, q_d_direct, q_eval, q_head,
-                     q_values_by_gap, term)
+from .oracle import (GapClass, QValue, frac_part, gap, gap_class, q0_direct,
+                     q_d_direct, q_eval, q_head, q_values_by_gap, term)
 from .rational import (floor_sqrt_rational, format_rational, iroot,
                        parse_rational)
-from .tails import g2, g2_tail, g2_tail_real, jump_weight, trigamma_tail
+from .tails import g2, g2_tail, trigamma_tail
 
 __version__ = "0.1.0"
 
@@ -40,7 +39,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DecompositionReport",
     "EVALUATORS",
-    "EXACT_HEAD_LIMIT",
     "Enclosure",
     "FastEstimate",
     "FitError",
@@ -67,7 +65,6 @@ __all__ = [
     "frac_part",
     "g2",
     "g2_tail",
-    "g2_tail_real",
     "gap",
     "gap_class",
     "gap_coeff",
@@ -76,7 +73,6 @@ __all__ = [
     "gap_coeff_telescoped",
     "geometric_grid",
     "iroot",
-    "jump_weight",
     "limit_estimate",
     "main_constant",
     "parse_rational",

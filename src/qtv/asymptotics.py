@@ -152,9 +152,9 @@ def decomposed_eval(x: RationalScalar,
     f = Fraction(x)
     xx = f * f
     pi_budget = PrecisionBudget(budget.target_width / (5 * xx))
-    scale_for(pi_budget.target_width / 2)  # refuse before the series
-    pi = pi_enclosure(pi_budget)
+    scale_for(pi_budget.target_width / 2)  # refuse before the walk and the series
     squares, grid = end_moments(f, budget.target_width / 4)
+    pi = pi_enclosure(pi_budget)
     value = Enclosure(
         max(Fraction(0), squares + xx * (pi.lo**2 / 3 - 3) - 2 * grid.hi),
         squares + xx * (pi.hi**2 / 3 - 3) - 2 * grid.lo)

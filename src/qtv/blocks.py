@@ -10,10 +10,11 @@ d + 1 <= x/2, to five short sums over quotients k:
                  - sum_{K_{d+1}-d-1 < k <= K_{d+1}}
                  - sum_{K_{d-1}-d+1 < k <= K_{d-1}} ) summand(k)
              - ( sum_{K_d < k <= K_{d+1}}
-                 - sum_{K_{d-1} < k <= K_d} ) (d - x jump_weight(x/k))^2
+                 - sum_{K_{d-1} < k <= K_d} ) (d - x/(n(n+1)))^2
 
-with summand(k) = d^2 floor(x/k) + 2dx/floor(x/k) - x^2 tail(x/k),
-tail(t) = sum_{n > t-1} 1/(n(n+1))^2.  The three summand sums run over
+with n = floor(x/k) in every term, summand(k) = d^2 n + 2dx/n -
+x^2 g2_tail(n) and g2_tail(n) = sum_{m >= n} 1/(m(m+1))^2, the
+tail from floor(x/k) on.  The three summand sums run over
 O(d) values of k near sqrt(dx), the two square sums over the about
 sqrt(x/d)/2 values of k between consecutive cut points, so the cost is
 O(d + sqrt(x/d)) terms (70,734 at x = 1e11, d = 20).  Every piece is
@@ -60,7 +61,7 @@ from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum,
                        sqrt_enclosure)
 from .oracle import q_d_direct
 from .rational import RationalScalar, floor_sqrt_rational
-from .tails import g2_tail, g2_tail_real
+from .tails import g2_tail
 
 
 def q0_block_cut(x: RationalScalar) -> int:
@@ -125,7 +126,7 @@ def sum_k4_range(a: int, b: int) -> int:
 
 def block_summand(x: RationalScalar, d: int, k: int,
                   budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
-    """d^2 floor(x/k) + 2dx/floor(x/k) - x^2 tail(x/k), needs x/k >= 1."""
+    """d^2 n + 2dx/n - x^2 g2_tail(n) at n = floor(x/k), needs x/k >= 1."""
     f = Fraction(x)
     if f <= 0:
         raise ValueError("x must be positive")
@@ -136,7 +137,7 @@ def block_summand(x: RationalScalar, d: int, k: int,
     fk = f.numerator // (f.denominator * k)
     exact = d * d * fk + 2 * d * f / fk
     xx = f * f
-    tail = g2_tail_real(f / k, PrecisionBudget(budget.target_width / xx))
+    tail = g2_tail(fk, PrecisionBudget(budget.target_width / xx))
     return Enclosure(exact - xx * tail.hi, exact - xx * tail.lo)
 
 
@@ -294,14 +295,7 @@ class ResidualReport:
         return r.hi / self.bound.lo
 
 
-def _need_d(d: int | None, low: int = 1) -> int:
-    if d is None or d < low:
-        raise ValueError(f"this residual needs d >= {low}")
-    return d
-
-
 def _r_cut_point(f, d, k, b):
-    d = _need_d(d, 0)
     actual = Enclosure.point(Fraction(cut_point(f, d)))
     main = sqrt_enclosure(d * f, b).shift(Fraction(d, 2))
     bound = sqrt_enclosure(Fraction(d**3) / f, b).shift(1)
@@ -309,7 +303,6 @@ def _r_cut_point(f, d, k, b):
 
 
 def _r_cut_window_k1(f, d, k, b):
-    d = _need_d(d)
     k0 = cut_point(f, d)
     actual = Enclosure.point(Fraction(sum_k_range(k0 - d, k0)))
     main = sqrt_enclosure(d * f, b).scale(d)
@@ -318,7 +311,6 @@ def _r_cut_window_k1(f, d, k, b):
 
 
 def _r_cut_window_k3(f, d, k, b):
-    d = _need_d(d)
     k0 = cut_point(f, d)
     actual = Enclosure.point(Fraction(sum_k3_range(k0 - d, k0)))
     main = sqrt_enclosure(d * f, b).scale(d * d * f)
@@ -327,7 +319,6 @@ def _r_cut_window_k3(f, d, k, b):
 
 
 def _r_between_cuts_k4(f, d, k, b):
-    d = _need_d(d, 0)
     lo_cut = cut_point(f, d)
     hi_cut = cut_point(f, d + 1)
     actual = Enclosure.point(Fraction(sum_k4_range(lo_cut, hi_cut)))
@@ -341,15 +332,14 @@ def _r_between_cuts_k4(f, d, k, b):
 def _r_tail_series(f, d, k, b):
     if f < 1:
         raise ValueError("tail comparison needs t >= 1")
-    actual = g2_tail_real(f, b)
     m = f.numerator // f.denominator
+    actual = g2_tail(m, b)
     main = Enclosure.point(Fraction(1, 3 * m**3))
     bound = Enclosure.point(f**-5)
     return actual, main, bound
 
 
 def _r_summand_main(f, d, k, b):
-    d = _need_d(d)
     k0 = cut_point(f, d)
     if k is None or not k0 - d < k <= k0:
         raise ValueError("summand comparison needs k in the center range")
@@ -369,7 +359,6 @@ def _r_window_sum(shift):
     """Builder for the class-d summands over the window (K_e - e, K_e]
     of the neighbouring class e = d + shift, shift in (-1, 0, 1)."""
     def build(f, d, k, b):
-        d = _need_d(d)
         e = d + shift
         if shift and 2 * e > f:
             raise ValueError(f"the window of class {e} needs {e} <= x/2")
@@ -389,20 +378,26 @@ def _r_q0_mean(f, d, k, b):
     return actual, main, bound
 
 
+# name: (builder, pass cap, least class d, or None where d is unused).
+# The caps are the pass thresholds of the residual checks: roughly twice
+# the worst ratio seen on dev panels (x = 1e4 and 1e6, d <= 50), so a
+# genuine shape change in any envelope trips them while honest noise
+# does not.
 _RESIDUALS = {
-    "cut_point": _r_cut_point,
-    "cut_window_k1": _r_cut_window_k1,
-    "cut_window_k3": _r_cut_window_k3,
-    "between_cuts_k4": _r_between_cuts_k4,
-    "tail_series": _r_tail_series,
-    "summand_main": _r_summand_main,
-    "window_sum_center": _r_window_sum(0),
-    "window_sum_upper": _r_window_sum(1),
-    "window_sum_lower": _r_window_sum(-1),
-    "q0_mean": _r_q0_mean,
+    "cut_point": (_r_cut_point, Fraction(4), 0),
+    "cut_window_k1": (_r_cut_window_k1, Fraction(1), 1),
+    "cut_window_k3": (_r_cut_window_k3, Fraction(3), 1),
+    "between_cuts_k4": (_r_between_cuts_k4, Fraction(5), 0),
+    "tail_series": (_r_tail_series, Fraction(1, 4), None),
+    "summand_main": (_r_summand_main, Fraction(1), 1),
+    "window_sum_center": (_r_window_sum(0), Fraction(1, 2), 1),
+    "window_sum_upper": (_r_window_sum(1), Fraction(3), 1),
+    "window_sum_lower": (_r_window_sum(-1), Fraction(1, 2), 1),
+    "q0_mean": (_r_q0_mean, Fraction(1), None),
 }
 
 RESIDUAL_NAMES = tuple(_RESIDUALS)
+RESIDUAL_CAPS = {name: cap for name, (_, cap, _) in _RESIDUALS.items()}
 
 
 def residual_report(name: str, x: RationalScalar, d: int | None = None,
@@ -415,33 +410,18 @@ def residual_report(name: str, x: RationalScalar, d: int | None = None,
     respect up to a bounded constant.
     """
     try:
-        builder = _RESIDUALS[name]
+        builder, _, least = _RESIDUALS[name]
     except KeyError:
         raise ValueError(f"unknown residual {name!r}; "
                          f"choose from {', '.join(RESIDUAL_NAMES)}") from None
     f = Fraction(x)
     if f <= 0:
         raise ValueError("x must be positive")
+    if least is not None and (d is None or d < least):
+        raise ValueError(f"this residual needs d >= {least}")
     b = PrecisionBudget(budget.target_width / 4)
     actual, main, bound = builder(f, d, k, b)
     return ResidualReport(name, f, d, k, actual, main, actual - main, bound)
-
-
-# Pass thresholds for the residual checks: roughly twice the worst ratio
-# seen on dev panels (x = 1e4 and 1e6, d <= 50), so a genuine shape
-# change in any envelope trips them while honest noise does not.
-RESIDUAL_CAPS = {
-    "cut_point": Fraction(4),
-    "cut_window_k1": Fraction(1),
-    "cut_window_k3": Fraction(3),
-    "between_cuts_k4": Fraction(5),
-    "tail_series": Fraction(1, 4),
-    "summand_main": Fraction(1),
-    "window_sum_center": Fraction(1, 2),
-    "window_sum_upper": Fraction(3),
-    "window_sum_lower": Fraction(1, 2),
-    "q0_mean": Fraction(1),
-}
 
 
 def residual_cases(name: str, x: Fraction, ds: Iterable[int],
@@ -449,7 +429,7 @@ def residual_cases(name: str, x: Fraction, ds: Iterable[int],
                    ) -> list[tuple[int | None, int | None, Fraction]]:
     """The (d, k, argument) triples residual `name` is checked at near x.
 
-    Gap residuals run at x for each d in ds that they are defined for
+    Gap residuals run at x for each d in ds from their least class on
     (d = 0 only for cut_point and between_cuts_k4), with k the cut point
     for summand_main; classes with 2(d+1) > x are outside the block
     formulas and skipped.  q0_mean runs once at x.  tail_series does not
@@ -459,6 +439,6 @@ def residual_cases(name: str, x: Fraction, ds: Iterable[int],
         return [] if t is None else [(None, None, t)]
     if name == "q0_mean":
         return [(None, None, x)]
-    low = 0 if name in ("cut_point", "between_cuts_k4") else 1
+    least = _RESIDUALS[name][2]
     return [(d, cut_point(x, d) if name == "summand_main" else None, x)
-            for d in ds if d >= low and 2 * (d + 1) <= x]
+            for d in ds if d >= least and 2 * (d + 1) <= x]

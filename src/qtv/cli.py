@@ -85,6 +85,11 @@ def _parse_x(text: str, minimum: Fraction = Fraction(0)) -> Fraction:
         raise UsageError(f"cannot parse {text!r} as a rational") from exc
     if x <= minimum:
         raise UsageError(f"x must be > {minimum}, got {text}")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    top = max(x.numerator, x.denominator)
+    # below 2^(3 limit) < 10^limit the exact power is not needed
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:
+        raise UsageError(f"x has more than {limit} digits, too many to print")
     return x
 
 
@@ -255,7 +260,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         for d in range(1, args.d_max + 1):
             if 2 * (d + 1) > x:
                 continue
-            exact = q_d_direct(x, d)
             try:
                 rep = qd_blocks(x, d, budget, compare_direct=False,
                                 _middle_shift=args.shift_middle)
@@ -263,6 +267,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
                 if not args.shift_middle:
                     raise
                 raise UsageError(f"--shift-middle: {exc}") from exc
+            exact = q_d_direct(x, d)  # after qd_blocks, which sizes its loops
             checks.append(_check("class_closed_form",
                                  {"x": x_text, "d": d},
                                  exact, rep.value, rep.value.contains(exact)))

@@ -34,6 +34,12 @@ RationalLike = Union[RationalScalar, int]
 # silently grinding on multi-megabyte integers.
 MAX_SCALE_DIGITS = 100_000
 
+# Hard cap on the roundings a grid is sized for, which is the length of
+# the loop that fills it: a longer loop (q_eval's head past x = 1e8, a
+# block pass past x of about 2.5e15, a fast-evaluator class cut past
+# 1e8) is refused with BudgetError before it starts.
+MAX_ROUNDINGS = 10**8
+
 
 def _decimal_digits(n: int) -> int:
     """Digit count of n >= 1 without int-to-str (which caps at 4300)."""
@@ -49,7 +55,7 @@ def _decimal_digits(n: int) -> int:
 
 
 class BudgetError(RuntimeError):
-    """A precision budget cannot be met within the scale cap.
+    """A precision budget cannot be met within the scale or loop cap.
 
     The exact requested width rides along as .requested; the message
     only sketches its magnitude, since the width's own denominator can
@@ -94,10 +100,12 @@ def scale_for(width: Fraction, units: int = 1) -> int:
 
     `units` is the number of terms that will each contribute at most 1/S
     of slack, so an accumulation of that many floor-rounded terms stays
-    inside `width`.
+    inside `width`; more than MAX_ROUNDINGS of them are refused.
     """
     if width <= 0:
         raise ValueError("width must be positive")
+    if units > MAX_ROUNDINGS:
+        raise BudgetError(width, "loop cap exceeded (over 10^8 terms)")
     if units < 1:
         units = 1
     need = (units * width.denominator + width.numerator - 1) // width.numerator

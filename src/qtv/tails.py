@@ -49,7 +49,7 @@ from itertools import accumulate
 from math import lcm
 
 from .interval import BudgetError, Enclosure, PrecisionBudget, scale_for
-from .rational import RationalScalar, iroot
+from .rational import iroot
 
 # Highest Euler-Maclaurin order em_order hands out; widths that need a
 # higher one are refused.
@@ -61,15 +61,6 @@ def g2(n: int) -> Fraction:
     if n < 1:
         raise ValueError("index must be >= 1")
     return Fraction(1, (n * (n + 1)) ** 2)
-
-
-def jump_weight(t: RationalScalar) -> Fraction:
-    """1/floor(t) - 1/(floor(t)+1), the drop of 1/floor at t; t >= 1."""
-    ft = Fraction(t)
-    if ft < 1:
-        raise ValueError("jump_weight needs t >= 1")
-    m = ft.numerator // ft.denominator
-    return Fraction(1, m * (m + 1))
 
 
 @lru_cache(maxsize=None)
@@ -177,17 +168,3 @@ def g2_tail(m: int, budget: PrecisionBudget) -> Enclosure:
     t = trigamma_tail(m, PrecisionBudget(budget.target_width / 2))
     shift = Fraction(1, m * m) + Fraction(2, m)
     return Enclosure(2 * t.lo - shift, 2 * t.hi - shift)
-
-
-def g2_tail_real(t: RationalScalar, budget: PrecisionBudget) -> Enclosure:
-    """Enclosure of sum over n > t-1 of g2(n) for rational t >= 1.
-
-    The condition n > t-1 selects exactly n >= floor(t): for integer t
-    it is n >= t, otherwise n >= ceil(t-1) = floor(t).  So the value
-    only depends on floor(t), matching the recurrence
-    tail(t+1) = tail(t) - jump_weight(t)^2.
-    """
-    ft = Fraction(t)
-    if ft < 1:
-        raise ValueError("g2_tail_real needs t >= 1")
-    return g2_tail(ft.numerator // ft.denominator, budget)

@@ -20,6 +20,14 @@ from qtv.oracle import (QValue, _blocks, gap, q0_direct, q_d_direct, q_eval,
 BUDGET = PrecisionBudget(Fraction(1, 10**9))
 
 
+def test_decomposed_eval_refuses_a_long_walk_before_pi(monkeypatch):
+    def no_pi(budget):
+        raise AssertionError("pi series started")
+    monkeypatch.setattr("qtv.asymptotics.pi_enclosure", no_pi)
+    with pytest.raises(BudgetError, match="loop cap"):
+        decomposed_eval(Fraction(10**30))
+
+
 def test_decomposition_reassembles_the_series():
     for x in (Fraction(997), Fraction(2500), Fraction(10**4) + Fraction(1, 3)):
         rep = decompose(x, d_cut=50, budget=BUDGET)

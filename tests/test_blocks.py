@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtv.asymptotics import decompose
-from qtv.blocks import (RESIDUAL_NAMES, block_summand, cut_point,
-                        end_moments, end_squares, q0_block_cut, q0_blocks,
-                        qd_blocks, residual_report, sum_k3_range,
+from qtv.blocks import (RESIDUAL_CAPS, RESIDUAL_NAMES, block_summand,
+                        cut_point, end_moments, end_squares, q0_block_cut,
+                        q0_blocks, qd_blocks, residual_report, sum_k3_range,
                         sum_k4_range, sum_k_range)
 from qtv.coefficients import sqrt_sum, zeta_3_2
 from qtv.interval import Enclosure, PrecisionBudget, scale_for
@@ -226,6 +226,44 @@ def test_residual_reports_have_positive_envelopes():
         assert rep.bound.lo > 0
         assert rep.ratio_hi >= 0
         assert rep.residual.lo <= (rep.actual - rep.main).midpoint <= rep.residual.hi
+
+
+# Least class d of each gap residual; tail_series and q0_mean take no d.
+LEAST_D = {"cut_point": 0, "cut_window_k1": 1, "cut_window_k3": 1,
+           "between_cuts_k4": 0, "summand_main": 1, "window_sum_center": 1,
+           "window_sum_upper": 1, "window_sum_lower": 1}
+
+
+def test_residual_domains_refuse_classes_below_the_least():
+    b = PrecisionBudget(Fraction(1, 10**9))
+    x = Fraction(10**4)
+    assert set(RESIDUAL_NAMES) - set(LEAST_D) == {"tail_series", "q0_mean"}
+    for name, least in LEAST_D.items():
+        for d in (None, least - 1):
+            with pytest.raises(ValueError, match=f"needs d >= {least}$"):
+                residual_report(name, x, d=d, budget=b)
+    assert residual_report("tail_series", Fraction(10), d=None, budget=b).d is None
+    assert residual_report("q0_mean", x, d=None, budget=b).d is None
+
+
+def test_residual_gate_is_pinned():
+    # the verify and A5 pass thresholds: a cap may not move unseen
+    assert RESIDUAL_NAMES == (
+        "cut_point", "cut_window_k1", "cut_window_k3", "between_cuts_k4",
+        "tail_series", "summand_main", "window_sum_center",
+        "window_sum_upper", "window_sum_lower", "q0_mean")
+    assert RESIDUAL_CAPS == {
+        "cut_point": Fraction(4),
+        "cut_window_k1": Fraction(1),
+        "cut_window_k3": Fraction(3),
+        "between_cuts_k4": Fraction(5),
+        "tail_series": Fraction(1, 4),
+        "summand_main": Fraction(1),
+        "window_sum_center": Fraction(1, 2),
+        "window_sum_upper": Fraction(3),
+        "window_sum_lower": Fraction(1, 2),
+        "q0_mean": Fraction(1),
+    }
 
 
 def test_residual_report_rejects_unknown_name():

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -294,12 +295,32 @@ def test_module_entry_point():
     ("eval", "1e-99999999"),
     ("eval", "2", "--tolerance", "1e-999999999"),
     ("scan", "--grid-ratio", "1e999999999"),
+    ("eval", "1e-5000"),
+    ("decompose", "1e5000"),
+    ("scan", "--grid-max", "1e5000"),
 ], ids=" ".join)
 def test_bad_arguments_are_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "1e1000"),
+    ("eval", "1e100", "--evaluator", "fast"),
+    ("eval", "1e30", "--evaluator", "decomposed"),
+    ("decompose", "1e30"),
+    ("verify", "--x", "1e30"),
+], ids=" ".join)
+def test_loops_past_the_cap_are_exit_3_before_they_start(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert out == ""
+    assert err.startswith("precision budget exhausted: ") and "loop cap" in err
+    assert err.count("\n") == 1
 
 
 def test_unwritable_output_is_exit_2(tmp_path, capsys):

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qtv.interval import (BudgetError, Enclosure, PrecisionBudget, ScaledSum,
-                          pow_enclosure, root_enclosure, scale_for,
-                          sqrt_enclosure)
+from qtv.interval import (MAX_ROUNDINGS, BudgetError, Enclosure,
+                          PrecisionBudget, ScaledSum, pow_enclosure,
+                          root_enclosure, scale_for, sqrt_enclosure)
 
 fractions_small = st.fractions(min_value=-100, max_value=100)
 
@@ -118,6 +118,14 @@ def test_scale_cap_boundary_is_exact():
         scale_for(Fraction(1, 10**100001))
     with pytest.raises(BudgetError):
         scale_for(Fraction(1, 10**99999), units=11)
+
+
+def test_loop_cap_boundary_is_exact():
+    assert scale_for(Fraction(1, 10**9), units=MAX_ROUNDINGS) == 10**17
+    with pytest.raises(BudgetError, match="loop cap"):
+        scale_for(Fraction(1, 10**9), units=MAX_ROUNDINGS + 1)
+    with pytest.raises(BudgetError, match="loop cap"):
+        ScaledSum(Fraction(1), 10**1000)
 
 
 def test_budget_split():

@@ -18,8 +18,7 @@ import qtv.tails
 from qtv.coefficients import pi_enclosure, zeta_3_2
 from qtv.interval import BudgetError, PrecisionBudget
 from qtv.oracle import q_eval
-from qtv.tails import (ORDER_CAP, bernoulli, em_order, g2, g2_tail, g2_tail_real,
-                       jump_weight, trigamma_tail)
+from qtv.tails import ORDER_CAP, bernoulli, em_order, g2, g2_tail, trigamma_tail
 
 
 def frac_of(mp_value, digits=38):
@@ -67,34 +66,6 @@ def test_deep_tail_meets_tight_budget():
     # leading behavior 1/(3 m^3)
     m = 10**9
     assert abs(out.midpoint - Fraction(1, 3 * m**3)) < Fraction(1, m**4)
-
-
-def test_jump_weight_matches_fraction_jump():
-    # weight at t is the drop of 1/floor(t)(floor(t)+1) slots
-    assert jump_weight(Fraction(1)) == Fraction(1, 2)
-    assert jump_weight(Fraction(7, 2)) == Fraction(1, 12)
-    assert jump_weight(Fraction(10)) == Fraction(1, 110)
-    with pytest.raises(ValueError):
-        jump_weight(Fraction(1, 2))
-
-
-@given(st.fractions(min_value=1, max_value=10**4))
-@settings(max_examples=60, deadline=None)
-def test_real_argument_reduces_to_floor(t):
-    b = PrecisionBudget(Fraction(1, 10**12))
-    m = t.numerator // t.denominator
-    left = g2_tail_real(t, b)
-    right = g2_tail(m, b)
-    assert left.intersects(right)
-
-
-def test_real_argument_recurrence():
-    b = PrecisionBudget(Fraction(1, 10**15))
-    t = Fraction(9, 2)
-    m = t.numerator // t.denominator
-    drop = g2_tail_real(t, b) - g2_tail_real(t + 1, b)
-    assert g2(m) == jump_weight(t) ** 2
-    assert drop.contains(g2(m))
 
 
 def test_bernoulli_matches_the_binomial_recurrence():
