@@ -97,6 +97,7 @@ def decompose(x: RationalScalar, d_cut: int = 50,
     if d_cut < 0:
         raise ValueError("d_cut must be >= 0")
     part = budget.split(2)
+    base = q0_blocks(f, part)  # its tail refuses before the block pass
     p, q = f.numerator, f.denominator
     cut = q0_block_cut(f)
     n1 = p // (q * (cut + 1))
@@ -133,7 +134,6 @@ def decompose(x: RationalScalar, d_cut: int = 50,
     for acc, total, count in zip(bins, units, counts):
         acc.add_floors(total, count)
     rest, *classes = (acc.enclosure() for acc in bins)
-    base = q0_blocks(f, part)
     ops = sum(counts) + cut
     value = sum(classes, base + rest)
     return DecompositionReport(f, d_cut, base, tuple(classes), rest, value, ops)
@@ -261,6 +261,9 @@ def error_term(x: RationalScalar, budget: PrecisionBudget = DEFAULT_BUDGET,
     if evaluator not in EVALUATORS:
         raise ValueError(f"unknown evaluator {evaluator!r}")
     started = time.perf_counter()
+    # the constant refuses past its order cap before the value's loops
+    root_x = isqrt(f.numerator // f.denominator) + 2
+    const = main_constant(PrecisionBudget(budget.target_width / (4 * root_x)))
     half = budget.split(2)
     if evaluator == "oracle":
         value = q_eval(f, half).value
@@ -268,9 +271,6 @@ def error_term(x: RationalScalar, budget: PrecisionBudget = DEFAULT_BUDGET,
         value = decomposed_eval(f, half).value
     else:
         value = fast_estimate(f, d_cut, half).value
-
-    root_x = isqrt(f.numerator // f.denominator) + 2
-    const = main_constant(PrecisionBudget(budget.target_width / (4 * root_x)))
     main = const * sqrt_enclosure(f, budget.split(4))
     error = value - main
     ratio = error.abs() / pow_enclosure(f, 3, 7, budget)

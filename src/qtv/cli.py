@@ -54,7 +54,7 @@ from .coefficients import (DEFAULT_COEFFS, coeff_sum_limit, gap_coeff,
                            zeta_3_2)
 from .interval import (BudgetError, Enclosure, PrecisionBudget,
                        sqrt_enclosure)
-from .oracle import q0_direct, q_d_direct, q_eval
+from .oracle import q0_direct, q_eval
 from .rational import format_rational, parse_rational
 from .tails import g2, g2_tail
 
@@ -261,16 +261,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
             if 2 * (d + 1) > x:
                 continue
             try:
-                rep = qd_blocks(x, d, budget, compare_direct=False,
-                                _middle_shift=args.shift_middle)
+                rep = qd_blocks(x, d, budget, _middle_shift=args.shift_middle)
             except ValueError as exc:  # a shifted range left 1 <= k <= x
                 if not args.shift_middle:
                     raise
                 raise UsageError(f"--shift-middle: {exc}") from exc
-            exact = q_d_direct(x, d)  # after qd_blocks, which sizes its loops
-            checks.append(_check("class_closed_form",
-                                 {"x": x_text, "d": d},
-                                 exact, rep.value, rep.value.contains(exact)))
+            checks.append(_check("class_closed_form", {"x": x_text, "d": d},
+                                 rep.direct, rep.value, rep.matches))
 
     # Telescoped amplitude partial sums against term-by-term addition.
     for limit in (1, 10, 100):

@@ -31,32 +31,22 @@ growing power cancels and
 so adding the 2/15 from the gap-0 class identifies the global
 constant zeta(3/2)/pi of Q(x) ~ (zeta(3/2)/pi) sqrt(x).
 
-zeta(3/2) itself is enclosed by Euler-Maclaurin at a cutoff N = m^2:
-the choice of a perfect square makes every correction term an exact
-rational (integral 2/m, half-term 1/(2 m^3), Bernoulli terms
-B_2, ..., B_2J against rising powers of 3/2 at m^{-5}, m^{-9}, ...,
-m^{-(4J+1)}), and t^{-3/2} is completely monotone, so the remainder is
-within the first omitted Bernoulli term; the bracket charges twice
-that, (429/16384) m^{-17} at order J = 3.  The order rises from 3 until
-m <= max(64, J) (widths down to about 1e-32 keep J = 3), so tight
-widths cost thousands of head terms, not millions; the search and the
-Bernoulli numbers are tails.em_order and tails.bernoulli, shared with
-the trigamma tail, and widths that need an order past tails.ORDER_CAP
-are refused.  pi is Machin's formula on a scaled-integer grid, at the
-requested width or 1e-40.
+zeta(3/2) is a head of sqrt(n)/n^2 floors on one grid plus
+tails.em_tail at k = 2, whose cutoff m^2 keeps every Euler-Maclaurin
+term rational; the tails module derives the bracket and its order rule.
+pi is Machin's formula on a scaled-integer grid, at the requested width
+or 1e-40.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, prod
 
 from .interval import (DEFAULT_BUDGET, Enclosure, PrecisionBudget, ScaledSum,
-                       scale_for, sqrt_enclosure)
+                       sqrt_enclosure)
 from .rational import isqrt
-from .tails import bernoulli, em_order
+from .tails import em_tail
 
 DEFAULT_COEFFS = (96, 48, 16, 2, 48, 16, 2)
 
@@ -171,31 +161,16 @@ def gap_coeff_partial_sum(limit: int,
     return CoeffPartialSum(limit, total, closed, closed - lim)
 
 
-@lru_cache(maxsize=None)
-def _em_coeff(j: int) -> Fraction:
-    """B_2j / (2j)! times (3/2)(5/2)...((4j-1)/2): Euler-Maclaurin term j
-    of n^{-3/2} at the cutoff m^2, in units of m^-(4j+1)."""
-    return (bernoulli(2 * j) * prod(range(3, 4 * j, 2))
-            / (factorial(2 * j) * 2 ** (2 * j - 1)))
-
-
 def zeta_3_2(budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:
     """Enclosure of zeta(3/2) = sum n^{-3/2}, width <= budget."""
     w = budget.target_width
-    scale_for(w / 2)  # past the scale cap, fail before any root
-    # remainder 2 |c_{J+1}| m^-(4J+5) <= w/4, first J >= 3 with m <= max(64, J)
-    order, m = em_order(w, _em_coeff, 4)
-    m = max(2, m)
-    bound = 2 * abs(_em_coeff(order + 1))
-    cut = m * m
-    core = Fraction(2, m) + Fraction(1, 2 * m**3) + sum(
-        _em_coeff(j) / m ** (4 * j + 1) for j in range(1, order + 1))
-    margin = bound / m ** (4 * order + 5)
+    m, tail = em_tail(2, w, 2)
     # head slice: n^{-3/2} = sqrt(n)/n^2 floored onto the grid
+    cut = m * m
     head = ScaledSum(w / 2, cut - 1)
     ss = head.scale ** 2
     head.add_floors(sum(isqrt(n * ss) // (n * n) for n in range(1, cut)), cut - 1)
-    return head.enclosure() + Enclosure(core - margin, core + margin)
+    return head.enclosure() + tail
 
 
 def pi_enclosure(budget: PrecisionBudget = DEFAULT_BUDGET) -> Enclosure:

@@ -198,8 +198,8 @@ def q_eval(x: RationalScalar, budget: PrecisionBudget = DEFAULT_BUDGET) -> QValu
         raise ValueError("x must be positive")
     count = f.numerator // f.denominator
     half = budget.split(2)
+    series = tail_enclosure(f, count + 1, half)  # refuses before the head
     scaled = _head_scaled(f, count, half)
-    series = tail_enclosure(f, count + 1, half)
     head, tail = scaled.lo, Enclosure(series.lo, series.hi + scaled.width)
     value = Enclosure(head + tail.lo, head + tail.hi)
     return QValue(f, value, head, tail, count)

@@ -1,4 +1,5 @@
-"""Certified tails of the series sum 1/(n(n+1))^2.
+"""Certified tails of the series sum 1/(n(n+1))^2, and the one
+Euler-Maclaurin tail they share with zeta(3/2).
 
 The squared increments of x/n on a gap-0 run are x^2 g2(n) with
 g2(n) = 1/(n(n+1))^2, so every tail evaluation in the package reduces
@@ -13,40 +14,43 @@ and the rightmost part telescopes, so
 
 (At m = 1 this is the familiar pi^2/3 - 3.)
 
-T(m) is enclosed by an exact scaled head up to a cutoff M plus the
-Euler-Maclaurin expansion at M, to order J:
+T(m) is an exact scaled head up to a cutoff M plus em_tail, the
+Euler-Maclaurin tail that T (k = 1) and zeta(3/2) (k = 2) share: both
+sum n^-s with s = 1 + 1/k from N = u^k, a perfect square at k = 2, so
+every term is rational.  With f(t) = t^-s the integral is k/u, the half
+term 1/(2 u^(k+1)), and -B_2j/(2j)! f^(2j-1)(N) = c_j u^-(2kj+1):
 
-    T(M) = 1/M + 1/(2 M^2) + sum_{j=1}^{J} B_2j M^-(2j+1) + R,
+    sum_{n>=u^k} n^-s = k/u + 1/(2 u^(k+1)) + sum_{j=1}^{J} c_j u^-(2kj+1) + R,
+    c_j = B_2j s (s+1) ... (s+2j-2) / (2j)!,
 
-with the Bernoulli numbers B_2 = 1/6, B_4 = -1/30, B_6 = 1/42, ...
-against f(t) = t^-2, whose derivatives alternate in sign (completely
-monotone).  For such f the remainder after any Bernoulli term has the
-sign of the first omitted term and no larger magnitude, here
-|B_(2J+2)| M^-(2J+3).  The bracket charges twice that, which also
-absorbs either sign convention: at J = 3 it is R in [-M^-9/15, +M^-9/15].
+so c_j = B_2j at k = 1 (B_2 = 1/6, B_4 = -1/30, ...).  f is completely
+monotone, so the remainder after any Bernoulli term has the sign of the
+first omitted term and no larger magnitude, |c_(J+1)| u^-(2k(J+1)+1).
+The bracket charges twice that, which also absorbs either sign
+convention: for T at J = 3 it is R in [-M^-9/15, +M^-9/15].
 
-The order rule (em_order, which zeta(3/2) shares): start at J = 3 and
-raise J until the cutoff that leaves a quarter of the width to the
-remainder is at most max(64, m, J).  Widths down to about 1e-16, and
-every m whose order-3 cutoff is already at most m, keep J = 3 and the
-same endpoints.  Tighter widths raise the order instead of the cutoff,
-so the head stays within max(64, J) terms, where order 3 alone needed
-M of order w^(-1/9) (about 1900 at w = 1e-30, 10^6 at 1e-60).  Since
-|B_2J| grows like (2J)!/(2 pi)^(2J), a fixed cutoff M stalls near
-widths e^(-2 pi M); a cutoff that follows J keeps each order step worth
-about 2 log2(pi) bits.  Orders past ORDER_CAP are refused with
-BudgetError, which puts the reach of trigamma_tail(1) at about 1e-470;
-the Bernoulli numbers up to B_514 and the search cost tens of
-milliseconds, once per process.
+The order rule (em_order): start at J = 3 and raise J until the cutoff
+that leaves a quarter of the width to the remainder is at most
+max(64, m, J).  Widths down to about 1e-16 for T (1e-32 for zeta(3/2)),
+and every m whose order-3 cutoff is already at most m, keep J = 3 and
+the same endpoints.  Tighter widths raise the order instead of the
+cutoff, where order 3 alone needed M of order w^(-1/9) for T (about
+1900 at w = 1e-30, 10^6 at 1e-60).  Since |B_2J| grows like
+(2J)!/(2 pi)^(2J), a fixed cutoff M stalls near widths e^(-2 pi M); a
+cutoff that follows J keeps each order step worth about 2 log2(pi)
+bits.  Orders past ORDER_CAP are refused with BudgetError, which puts
+the reach of trigamma_tail(1) at about 1e-470 and of zeta(3/2) between
+1e-1700 and 1e-1800; the Bernoulli numbers up to B_514 and the search
+cost tens of milliseconds, once per process.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
-from math import lcm
+from math import factorial, lcm, prod
 
 from .interval import BudgetError, Enclosure, PrecisionBudget, scale_for
 from .rational import iroot
@@ -115,11 +119,42 @@ def em_order(width: Fraction, coeff: Callable[[int], Fraction], step: int,
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_numerators(order: int) -> tuple[int, tuple[int, ...]]:
-    """D and (a_1, ..., a_J) with B_2j = a_j / D for j <= J = order."""
-    terms = [bernoulli(2 * j) for j in range(1, order + 1)]
-    den = lcm(*(b.denominator for b in terms))
-    return den, tuple(b.numerator * (den // b.denominator) for b in terms)
+def em_coeff(k: int, j: int) -> Fraction:
+    """c_j = B_2j s (s+1) ... (s+2j-2) / (2j)! for s = 1 + 1/k: term j of
+    the tail of n^-s at u^k, in units of u^-(2kj+1)."""
+    return bernoulli(2 * j) * Fraction(prod(range(k + 1, 2 * j * k + 1, k)),
+                                       k ** (2 * j - 1) * factorial(2 * j))
+
+
+@lru_cache(maxsize=None)
+def _em_numerators(k: int, order: int) -> tuple[int, tuple[int, ...]]:
+    """D and (a_1, ..., a_J) with em_coeff(k, j) = a_j / D for j <= J = order."""
+    terms = [em_coeff(k, j) for j in range(1, order + 1)]
+    den = lcm(*(c.denominator for c in terms))
+    return den, tuple(c.numerator * (den // c.denominator) for c in terms)
+
+
+def em_tail(k: int, width: Fraction, least: int = 0) -> tuple[int, Enclosure]:
+    """u = max(least, M) and an enclosure of sum_{n >= u^k} n^-(1+1/k).
+
+    The remainder takes width/4 per side; the caller's head slice up to
+    u^k is left width/2, so a width whose grid breaks the scale cap is
+    refused before the order search.
+    """
+    scale_for(width / 2)
+    order, cut = em_order(width, partial(em_coeff, k), 2 * k, least)
+    u = max(least, cut)
+    # k/u + 1/(2 u^(k+1)) + sum_j a_j / (D u^(2kj+1)) over 2 D u^(2kJ+1), Horner
+    den, numerators = _em_numerators(k, order)
+    poly, step = 0, u ** (2 * k)
+    for a in numerators:
+        poly = poly * step + a
+    core = Fraction((2 * k * u**k + 1) * den * u ** (2 * k * order - k) + 2 * poly,
+                    2 * den * u ** (2 * k * order + 1))
+    rest = em_coeff(k, order + 1)
+    margin = Fraction(2 * abs(rest.numerator),
+                      rest.denominator * u ** (2 * k * (order + 1) + 1))
+    return u, Enclosure(core - margin, core + margin)
 
 
 @lru_cache(maxsize=65536)
@@ -139,26 +174,13 @@ def trigamma_tail(m: int, budget: PrecisionBudget) -> Enclosure:
     if m < 1:
         raise ValueError("tail start must be >= 1")
     width = budget.target_width
-    scale_for(width / 2)  # past the scale cap, refuse before the search
-    # the remainder takes width/4 per side, the head slice width/2
-    order, cut = em_order(width, lambda j: bernoulli(2 * j), 2, m)
-    cut = max(m, cut)
-    # 1/M + 1/(2 M^2) + sum_j a_j / (D M^(2j+1)) over 2 D M^(2J+1), Horner
-    den, numerators = _bernoulli_numerators(order)
-    poly = 0
-    for a in numerators:
-        poly = poly * cut * cut + a
-    core = Fraction((2 * cut + 1) * den * cut ** (2 * order - 1) + 2 * poly,
-                    2 * den * cut ** (2 * order + 1))
-    rest = bernoulli(2 * order + 2)
-    margin = Fraction(2 * abs(rest.numerator), rest.denominator * cut ** (2 * order + 3))
+    cut, tail = em_tail(1, width, m)
     if cut == m:
-        return Enclosure(core - margin, core + margin)
+        return tail
     # Head slice: (cut - m) one-unit roundings within width/2.
     scale = scale_for(width / 2, units=cut - m)
     lo, hi = _trigamma_head_units(m, cut, scale)
-    return Enclosure(Fraction(lo, scale) + core - margin,
-                     Fraction(hi, scale) + core + margin)
+    return Enclosure(Fraction(lo, scale) + tail.lo, Fraction(hi, scale) + tail.hi)
 
 
 def g2_tail(m: int, budget: PrecisionBudget) -> Enclosure:

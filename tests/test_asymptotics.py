@@ -28,6 +28,23 @@ def test_decomposed_eval_refuses_a_long_walk_before_pi(monkeypatch):
         decomposed_eval(Fraction(10**30))
 
 
+def _no_loop(*args, **kwargs):
+    raise AssertionError("loop started on an out-of-reach budget")
+
+
+def test_decompose_refuses_the_zero_gap_tail_before_the_block_pass(monkeypatch):
+    for name in ("ScaledSum", "end_squares"):  # the pass's grid and its walk
+        monkeypatch.setattr(f"qtv.asymptotics.{name}", _no_loop)
+    with pytest.raises(BudgetError, match="order cap"):
+        decompose(Fraction(10**11), 5, PrecisionBudget(Fraction(1, 10**3000)))
+
+
+def test_error_term_refuses_the_constant_before_the_value(monkeypatch):
+    monkeypatch.setattr("qtv.asymptotics.q_eval", _no_loop)
+    with pytest.raises(BudgetError, match="order cap"):
+        error_term(Fraction(10**6), PrecisionBudget(Fraction(1, 10**1800)))
+
+
 def test_decomposition_reassembles_the_series():
     for x in (Fraction(997), Fraction(2500), Fraction(10**4) + Fraction(1, 3)):
         rep = decompose(x, d_cut=50, budget=BUDGET)

@@ -323,6 +323,20 @@ def test_loops_past_the_cap_are_exit_3_before_they_start(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "1000000", "--tolerance", "1e-3000"),
+    ("decompose", "1e11", "--tolerance", "1e-3000", "--d-max", "5"),
+], ids=" ".join)
+def test_tails_past_the_order_cap_are_exit_3_before_the_loops(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert out == ""
+    assert err.startswith("precision budget exhausted: ") and "order cap" in err
+    assert err.count("\n") == 1
+
+
 def test_unwritable_output_is_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "eval", "1", "--output", str(tmp_path))
     assert code == 2

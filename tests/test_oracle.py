@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtv.interval import Enclosure, PrecisionBudget, scale_for
+from qtv.interval import BudgetError, Enclosure, PrecisionBudget, scale_for
 from qtv.oracle import (QValue, _head_scaled, frac_part, gap, gap_class,
                         q0_direct, q_d_direct, q_eval, q_head,
                         q_values_by_gap, term)
@@ -67,6 +67,15 @@ def test_scaled_head_endpoints_are_pinned():
     assert value.hi == Fraction(
         "33326592508056894124554880878515871766019476761527/4108951221507"
         "07704039705189009450210000000000000")
+
+
+def test_out_of_reach_tail_is_refused_before_the_head(monkeypatch):
+    # the 10^6-term head would take seconds; the tail's order cap refuses
+    def no_head(*args):
+        raise AssertionError("head summed on an out-of-reach budget")
+    monkeypatch.setattr("qtv.oracle._head_scaled", no_head)
+    with pytest.raises(BudgetError, match="order cap"):
+        q_eval(Fraction(10**6), PrecisionBudget(Fraction(1, 10**3000)))
 
 
 def test_gap_sequence_at_ten():

@@ -6,8 +6,9 @@ against zeta(2)), and the trigamma tail at 1 is zeta(2) itself.  At
 tight widths the tails are checked against mpmath's Hurwitz zeta.
 """
 
+import hashlib
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import mpmath
 import pytest
@@ -18,7 +19,8 @@ import qtv.tails
 from qtv.coefficients import pi_enclosure, zeta_3_2
 from qtv.interval import BudgetError, PrecisionBudget
 from qtv.oracle import q_eval
-from qtv.tails import ORDER_CAP, bernoulli, em_order, g2, g2_tail, trigamma_tail
+from qtv.tails import (ORDER_CAP, bernoulli, em_coeff, em_order, em_tail, g2,
+                       g2_tail, trigamma_tail)
 
 
 def frac_of(mp_value, digits=38):
@@ -141,6 +143,49 @@ def test_order_three_endpoints_are_pinned():
         assert (out.lo, out.hi) == (Fraction(lo), Fraction(hi)), (m, digits)
 
 
+# Orders above 3, from the separate trigamma and zeta(3/2) expansions
+# that em_tail replaced: sha256 of "lo hi", each endpoint as str(Fraction).
+DEEP_PINS = [
+    (lambda b: trigamma_tail(1, b), 60,
+     "b457c87cf39790aabb33088e3b389f884123cbfbc5a04a6cd79b6e5fbe3a2a59"),
+    (lambda b: trigamma_tail(7, b), 200,
+     "e77655dff2bcac2fcb711f3f736379b5a67c59df0c5f15cbfabae85a3e7dc1e5"),
+    (zeta_3_2, 60, "5b2c8cfc5f2ebf081e5bd44983e93647d1c36c0fca302585b39a3368ba7edf3a"),
+    (zeta_3_2, 300, "58366eca65f53db41b4fac2f66916900c74480e09672fe22f2011022bb14a91b"),
+]
+
+
+@pytest.mark.parametrize("call, digits, digest", DEEP_PINS,
+                         ids=["trigamma-1-1e-60", "trigamma-7-1e-200",
+                              "zeta-1e-60", "zeta-1e-300"])
+def test_deep_order_endpoints_are_pinned(call, digits, digest):
+    out = call(PrecisionBudget(Fraction(1, 10**digits)))
+    assert hashlib.sha256(f"{out.lo} {out.hi}".encode()).hexdigest() == digest
+
+
+def test_em_coeff_is_bernoulli_at_k_1_and_the_zeta_term_at_k_2():
+    for j in range(1, 41):
+        assert em_coeff(1, j) == bernoulli(2 * j)
+        # B_2j / (2j)! times (3/2)(5/2)...((4j-1)/2), written out
+        zeta_term = (bernoulli(2 * j) * prod(range(3, 4 * j, 2))
+                     / (factorial(2 * j) * 2 ** (2 * j - 1)))
+        assert em_coeff(2, j) == zeta_term
+
+
+@pytest.mark.parametrize("digits", [9, 60, 300])
+@pytest.mark.parametrize("k", [1, 2])
+def test_em_tail_contains_the_hurwitz_zeta(k, digits):
+    mpmath.mp.dps = digits + 60
+    slack = Fraction(1, 10 ** (digits + 50))  # mpmath's own rounding
+    width = Fraction(1, 10**digits)
+    s = 1 + mpmath.mpf(1) / k
+    for least in (0, 2, 64, 10**6):
+        u, tail = em_tail(k, width, least)
+        assert u >= least and tail.width <= width / 2, least
+        ref = _exact(mpmath.zeta(s, u**k))
+        assert tail.lo - slack <= ref <= tail.hi + slack, least
+
+
 def _forbid(monkeypatch, module, *names):
     def forbidden(*args, **kwargs):
         raise AssertionError("called on an out-of-reach budget")
@@ -158,18 +203,17 @@ def test_out_of_reach_tail_budget_is_refused_before_the_root(monkeypatch):
 
 
 def test_out_of_reach_zeta_budget_is_refused_before_the_search(monkeypatch):
-    _forbid(monkeypatch, qtv.coefficients, "em_order", "_em_coeff", "isqrt")
+    _forbid(monkeypatch, qtv.tails, "em_order", "em_coeff")
+    _forbid(monkeypatch, qtv.coefficients, "isqrt")
     with pytest.raises(BudgetError):
         zeta_3_2(PrecisionBudget(Fraction(1, 10**100001)))
 
 
-@pytest.mark.parametrize("module, call", [
-    (qtv.tails, lambda b: trigamma_tail(1, b)),
-    (qtv.coefficients, zeta_3_2),
-])
-def test_deep_budget_is_met_or_refused_within_the_order_cap(monkeypatch, module, call):
+@pytest.mark.parametrize("call", [lambda b: trigamma_tail(1, b), zeta_3_2],
+                         ids=["trigamma_tail", "zeta_3_2"])
+def test_deep_budget_is_met_or_refused_within_the_order_cap(monkeypatch, call):
     asked = []
-    search = module.em_order
+    search = qtv.tails.em_order
 
     def recorded(width, coeff, step, least=0):
         def spy(j):
@@ -177,7 +221,7 @@ def test_deep_budget_is_met_or_refused_within_the_order_cap(monkeypatch, module,
             return coeff(j)
         return search(width, spy, step, least)
 
-    monkeypatch.setattr(module, "em_order", recorded)
+    monkeypatch.setattr(qtv.tails, "em_order", recorded)
     width = Fraction(1, 10**5000)
     try:
         assert call(PrecisionBudget(width)).width <= width
